@@ -27,8 +27,36 @@ const NetStack::Socket* NetStack::Find(SocketId id) const {
 
 SocketId NetStack::NewSocket(Socket socket) {
   SocketId id{next_socket_id_++};
-  sockets_.emplace(id.value, std::move(socket));
+  Socket& stored = sockets_.emplace(id.value, std::move(socket)).first->second;
+  if (stored.type == SocketType::kTcpConnection) {
+    live_conns_.emplace(id.value, &stored);
+  }
   return id;
+}
+
+void NetStack::SyncTimeWait(uint32_t id, Socket& socket) {
+  if (!socket.close_requested) {
+    return;
+  }
+  uint64_t key;
+  if (socket.conn->state() == TcpState::kTimeWait) {
+    key = socket.conn->time_wait_deadline_ns();
+  } else if (socket.in_time_wait && socket.conn->Defunct()) {
+    key = 0;  // reset or aborted while waiting: due at the next Poll
+  } else {
+    return;
+  }
+  if (socket.in_time_wait) {
+    if (key == socket.time_wait_key) {
+      return;
+    }
+    time_wait_.erase({socket.time_wait_key, id});
+  } else {
+    live_conns_.erase(id);
+    socket.in_time_wait = true;
+  }
+  socket.time_wait_key = key;
+  time_wait_.emplace(key, id);
 }
 
 bool NetStack::PortInUse(uint16_t port) const {
@@ -272,6 +300,7 @@ void NetStack::HandleTcp(const Ipv4Header& ip, ciobase::ByteSpan segment) {
     if (socket != nullptr && socket->conn != nullptr) {
       socket->conn->OnSegment(*header, payload);
       FlushTcpOutput(*socket);
+      SyncTimeWait(demux->second.value, *socket);
       return;
     }
   }
@@ -385,23 +414,28 @@ ciobase::Status NetStack::Poll() {
       break;
     }
   }
-  // Timers & output.
+  // App-closed TIME_WAIT connections leave from the front of their table:
+  // each is erased at the first Poll at or after its deadline.
   std::vector<uint32_t> defunct;
-  for (auto& [id, socket] : sockets_) {
-    if (socket.type == SocketType::kTcpConnection && socket.conn != nullptr) {
-      socket.conn->PollTimers();
-      FlushTcpOutput(socket);
-      if (socket.conn->Defunct() && socket.close_requested) {
-        defunct.push_back(id);
-      }
+  const uint64_t now = clock_->now_ns();
+  while (!time_wait_.empty() && time_wait_.begin()->first <= now) {
+    defunct.push_back(time_wait_.begin()->second);
+    time_wait_.erase(time_wait_.begin());
+  }
+  // Timers & output for every other connection.
+  for (auto& [id, socket] : live_conns_) {
+    ++stats_.tcp_conn_polls;
+    socket->conn->PollTimers();
+    FlushTcpOutput(*socket);
+    if (socket->conn->Defunct() && socket->close_requested) {
+      defunct.push_back(id);
     }
   }
   for (uint32_t id : defunct) {
-    Socket* socket = Find(SocketId{id});
-    if (socket != nullptr && socket->conn != nullptr) {
-      tcp_demux_.erase(socket->conn->endpoints());
-    }
-    sockets_.erase(id);
+    auto it = sockets_.find(id);
+    tcp_demux_.erase(it->second.conn->endpoints());
+    live_conns_.erase(id);
+    sockets_.erase(it);
   }
   reassembler_.Expire();
   if (--tx_batch_depth_ == 0) {
@@ -577,6 +611,7 @@ ciobase::Status NetStack::TcpAbort(SocketId id) {
   socket->conn->Abort();
   socket->close_requested = true;
   FlushTcpOutput(*socket);
+  SyncTimeWait(id.value, *socket);
   return ciobase::OkStatus();
 }
 

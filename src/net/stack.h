@@ -4,7 +4,10 @@
 // I/O compartment: it parses attacker-supplied bytes arriving through the
 // hardened L2 transport, and exposes a socket interface at the L5 boundary.
 // Everything is poll-driven and single-threaded; call Poll() regularly to
-// move frames, run TCP timers, and expire reassembly state.
+// move frames, run TCP timers, and expire reassembly state. A Poll() round
+// costs O(live connections): connections the application has closed wait
+// out TIME_WAIT in a deadline-ordered table that Poll() only trims from the
+// front.
 
 #ifndef SRC_NET_STACK_H_
 #define SRC_NET_STACK_H_
@@ -13,6 +16,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/base/arena.h"
@@ -126,6 +131,9 @@ class NetStack {
     uint64_t accept_overflows = 0;  // SYNs refused: accept queue full
     uint64_t link_resets = 0;    // port returned kLinkReset
     uint64_t link_timeouts = 0;  // port returned kTimedOut
+    // Connections visited by Poll()'s per-round timer/output walk, summed
+    // over rounds. App-closed TIME_WAIT connections are not visited.
+    uint64_t tcp_conn_polls = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -142,6 +150,10 @@ class NetStack {
     // Connection
     std::unique_ptr<TcpConnection> conn;
     bool close_requested = false;
+    // Set while the connection sits in time_wait_ (out of the per-round
+    // walk); time_wait_key is its expiry key there.
+    bool in_time_wait = false;
+    uint64_t time_wait_key = 0;
   };
 
   cioprof::ProfRegistry* prof_ = nullptr;
@@ -151,6 +163,12 @@ class NetStack {
   SocketId NewSocket(Socket socket);
   uint16_t AllocatePort();
   bool PortInUse(uint16_t port) const;
+  // Moves an app-closed TIME_WAIT connection from the per-round walk into
+  // time_wait_, and re-keys it there after anything that may have moved its
+  // expiry (a retransmitted FIN restarts the wait; an RST or abort makes it
+  // due at the next Poll). `socket` must be a TCP connection; no-op for one
+  // that is neither app-closed nor waiting.
+  void SyncTimeWait(uint32_t id, Socket& socket);
   Ipv4Address NextHop(Ipv4Address dst) const;
 
   void SendFrameTo(MacAddress dst, uint16_t ether_type,
@@ -181,6 +199,14 @@ class NetStack {
 
   uint32_t next_socket_id_ = 1;
   std::map<uint32_t, Socket> sockets_;
+  // The TCP connections Poll() walks each round, in socket-id order: all of
+  // them except app-closed ones waiting out TIME_WAIT. Pointers are stable
+  // (std::map nodes) until the socket is erased.
+  std::map<uint32_t, Socket*> live_conns_;
+  // App-closed TIME_WAIT connections as (expiry ns, socket id), soonest
+  // first. They stay in sockets_ and tcp_demux_, so a retransmitted FIN is
+  // still re-ACKed and the port stays taken until expiry.
+  std::set<std::pair<uint64_t, uint32_t>> time_wait_;
   std::map<TcpEndpointId, SocketId> tcp_demux_;
   uint16_t next_ephemeral_ = 49152;
   uint16_t ip_ident_ = 1;

@@ -121,6 +121,9 @@ class TcpConnection {
   // True once the connection has fully left the map-worthy lifetime
   // (CLOSED after RST/retry exhaustion or TIME_WAIT expiry).
   bool Defunct() const { return state_ == TcpState::kClosed; }
+  // When TIME_WAIT ends (meaningful only in kTimeWait); a retransmitted FIN
+  // pushes it later.
+  uint64_t time_wait_deadline_ns() const { return time_wait_deadline_ns_; }
 
   struct Stats {
     uint64_t segments_sent = 0;

@@ -1,6 +1,7 @@
 #include "src/tee/memory.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "src/base/log.h"
 
@@ -116,12 +117,14 @@ ciobase::Status TeeMemory::Read(Domain actor, RegionId id, uint64_t offset,
       offset >= region_size ? 0
                             : std::min<uint64_t>(out.size(),
                                                  region_size - offset);
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (i < in_bounds && plaintext) {
-      out[i] = region.data[offset + i];
-    } else {
-      out[i] = ScrambleByte(id.value, offset + i);
-    }
+  // One copy for the readable in-bounds prefix; denied and out-of-bounds
+  // bytes read as scrambled.
+  size_t copied = plaintext ? static_cast<size_t>(in_bounds) : 0;
+  if (copied > 0) {
+    std::memcpy(out.data(), region.data.data() + offset, copied);
+  }
+  for (size_t i = copied; i < out.size(); ++i) {
+    out[i] = ScrambleByte(id.value, offset + i);
   }
   if (in_bounds < out.size()) {
     RecordViolation(ViolationKind::kOobRead, actor, id.value, offset,
@@ -154,8 +157,8 @@ ciobase::Status TeeMemory::Write(Domain actor, RegionId id, uint64_t offset,
       offset >= region_size ? 0
                             : std::min<uint64_t>(data.size(),
                                                  region_size - offset);
-  for (size_t i = 0; i < in_bounds; ++i) {
-    region.data[offset + i] = data[i];  // the rest is dropped
+  if (in_bounds > 0) {  // the rest is dropped
+    std::memcpy(region.data.data() + offset, data.data(), in_bounds);
   }
   if (in_bounds < data.size()) {
     RecordViolation(ViolationKind::kOobWrite, actor, id.value, offset,

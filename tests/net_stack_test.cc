@@ -1,12 +1,17 @@
 // Integration tests for the NetStack beyond TCP: UDP datagrams, ARP
 // resolution through the stack, IP fragmentation of large UDP payloads,
-// fabric loss behavior for datagrams, port allocation, and the stack's
-// defensive counters against malformed input.
+// fabric loss behavior for datagrams, port allocation, the stack's
+// defensive counters against malformed input, and how app-closed TCP
+// connections wait out TIME_WAIT.
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "src/base/rng.h"
 #include "src/net/stack.h"
+#include "src/net/wire.h"
 #include "tests/net_testing.h"
 
 namespace {
@@ -14,6 +19,7 @@ namespace {
 using ciobase::Buffer;
 using ciobase::BufferFromString;
 using cionet::SocketId;
+using cionet::TcpState;
 using ciotest::TwoHostWorld;
 
 TEST(UdpStack, DatagramRoundTrip) {
@@ -284,6 +290,200 @@ TEST(TcpStack, ListenerBacklogOverflowRefusesTypedAndCounts) {
   auto peer = world.stack_b->GetTcpPeer(*accepted);
   ASSERT_TRUE(peer.ok());
   EXPECT_EQ(*peer, world.stack_a->ip());
+}
+
+// --- TIME_WAIT ------------------------------------------------------------------
+
+constexpr uint64_t kTimeWaitNs = cionet::TcpConnection::Tuning{}.time_wait_ns;
+// Host A's first ephemeral port: its first TcpConnect gets it, the next
+// one kFirstEphemeral + 1, and so on.
+constexpr uint16_t kFirstEphemeral = 49152;
+
+// Opens `n` connections from host A to a listener on host B's port 80 and
+// drives them to ESTABLISHED; returns {client, server} pairs in connect
+// order.
+std::vector<std::pair<SocketId, SocketId>> EstablishMany(TwoHostWorld& world,
+                                                         int n) {
+  auto listener = world.stack_b->TcpListen(80);
+  EXPECT_TRUE(listener.ok());
+  std::vector<std::pair<SocketId, SocketId>> pairs;
+  for (int i = 0; i < n; ++i) {
+    auto client = world.stack_a->TcpConnect(world.stack_b->ip(), 80);
+    EXPECT_TRUE(client.ok());
+    pairs.push_back({*client, SocketId{}});
+  }
+  size_t accepted = 0;
+  EXPECT_TRUE(world.PumpUntil([&] {
+    auto server = world.stack_b->TcpAccept(*listener);
+    if (server.ok()) {
+      pairs[accepted++].second = *server;
+    }
+    if (accepted < pairs.size()) {
+      return false;
+    }
+    for (auto [client, server_id] : pairs) {
+      auto a = world.stack_a->GetTcpState(client);
+      auto b = world.stack_b->GetTcpState(server_id);
+      if (!a.ok() || *a != TcpState::kEstablished || !b.ok() ||
+          *b != TcpState::kEstablished) {
+        return false;
+      }
+    }
+    return true;
+  }));
+  return pairs;
+}
+
+// Host A closes `client` first, host B closes `server` on EOF; A ends in
+// TIME_WAIT. Returns the simulated time A entered it: its deadline is that
+// plus kTimeWaitNs. Poll() reads the clock but never advances it here, so
+// the time is exact.
+uint64_t CloseToTimeWait(TwoHostWorld& world, SocketId client,
+                         SocketId server) {
+  EXPECT_TRUE(world.stack_a->TcpClose(client).ok());
+  EXPECT_TRUE(world.PumpUntil([&] {
+    uint8_t buf[16];
+    auto got = world.stack_b->TcpReceive(server, buf);
+    return !got.ok() &&
+           got.status().code() == ciobase::StatusCode::kFailedPrecondition;
+  }));
+  EXPECT_TRUE(world.stack_b->TcpClose(server).ok());
+  for (int round = 0; round < 20000; ++round) {
+    world.stack_a->Poll();
+    auto state = world.stack_a->GetTcpState(client);
+    if (state.ok() && *state == TcpState::kTimeWait) {
+      return world.clock.now_ns();
+    }
+    world.stack_b->Poll();
+    world.clock.Advance(10'000);
+  }
+  ADD_FAILURE() << "client never reached TIME_WAIT";
+  return 0;
+}
+
+// Advances the clock to `t` (not backwards) and polls host A once.
+void PollAAt(TwoHostWorld& world, uint64_t t) {
+  ASSERT_GE(t, world.clock.now_ns());
+  world.clock.Advance(t - world.clock.now_ns());
+  world.stack_a->Poll();
+}
+
+bool PortTaken(cionet::NetStack& stack, uint16_t port) {
+  auto probe = stack.UdpOpen(port);
+  if (!probe.ok()) {
+    return true;
+  }
+  EXPECT_TRUE(stack.UdpClose(*probe).ok());
+  return false;
+}
+
+TEST(TcpTimeWait, ErasedAtFirstPollAtOrAfterDeadlineAndPortFreedThen) {
+  TwoHostWorld world;
+  auto [client, server] = EstablishMany(world, 1)[0];
+  uint64_t deadline = CloseToTimeWait(world, client, server) + kTimeWaitNs;
+
+  PollAAt(world, deadline - 1);
+  auto state = world.stack_a->GetTcpState(client);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(*state, TcpState::kTimeWait);
+  EXPECT_TRUE(PortTaken(*world.stack_a, kFirstEphemeral));
+
+  // At the deadline, but before the next Poll: still there.
+  world.clock.Advance(1);
+  EXPECT_TRUE(world.stack_a->GetTcpState(client).ok());
+  EXPECT_TRUE(PortTaken(*world.stack_a, kFirstEphemeral));
+
+  world.stack_a->Poll();
+  EXPECT_EQ(world.stack_a->GetTcpState(client).status().code(),
+            ciobase::StatusCode::kNotFound);
+  EXPECT_FALSE(PortTaken(*world.stack_a, kFirstEphemeral));
+}
+
+// The frame host B sent to host A carrying a FIN for A's local `port`.
+std::optional<Buffer> CapturedFinTo(const cionet::Fabric& fabric,
+                                    uint16_t port) {
+  for (const auto& captured : fabric.capture()) {
+    ciobase::ByteSpan frame = captured.frame;
+    if (frame.size() < cionet::kEthernetHeaderSize + cionet::kIpv4HeaderSize) {
+      continue;
+    }
+    auto tcp = cionet::TcpHeader::Parse(frame.subspan(
+        cionet::kEthernetHeaderSize + cionet::kIpv4HeaderSize));
+    if (tcp.ok() && tcp->src_port == 80 && tcp->dst_port == port &&
+        (tcp->flags & cionet::kTcpFlagFin) != 0) {
+      return captured.frame;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(TcpTimeWait, RetransmittedFinReAckedAndRestartsWaitPastLaterEntry) {
+  TwoHostWorld world;
+  world.fabric->EnableCapture(true);
+  auto pairs = EstablishMany(world, 2);
+  auto [first, first_server] = pairs[0];
+  auto [second, second_server] = pairs[1];
+  uint64_t first_entered = CloseToTimeWait(world, first, first_server);
+  world.Pump(100);
+  uint64_t second_entered = CloseToTimeWait(world, second, second_server);
+  ASSERT_GT(second_entered, first_entered);
+
+  // Host B's FIN for the first connection arrives again (as if its ACK was
+  // lost). Host B is not polled from here on, so it cannot answer the
+  // re-ACK with a RST.
+  std::optional<Buffer> fin = CapturedFinTo(*world.fabric, kFirstEphemeral);
+  ASSERT_TRUE(fin.has_value());
+  auto before = world.stack_a->GetTcpStats(first);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(cionet::SendOne(*world.port_b, *fin).ok());
+  PollAAt(world, second_entered + 1'000'000);
+  uint64_t restarted = world.clock.now_ns();
+  auto after = world.stack_a->GetTcpStats(first);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->segments_sent, before->segments_sent + 1);  // re-ACK
+
+  // The first connection now expires after the second, though it entered
+  // TIME_WAIT first.
+  PollAAt(world, first_entered + kTimeWaitNs);
+  EXPECT_TRUE(world.stack_a->GetTcpState(first).ok());
+  PollAAt(world, second_entered + kTimeWaitNs);
+  EXPECT_FALSE(world.stack_a->GetTcpState(second).ok());
+  auto state = world.stack_a->GetTcpState(first);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(*state, TcpState::kTimeWait);
+  PollAAt(world, restarted + kTimeWaitNs - 1);
+  EXPECT_TRUE(world.stack_a->GetTcpState(first).ok());
+  PollAAt(world, restarted + kTimeWaitNs);
+  EXPECT_FALSE(world.stack_a->GetTcpState(first).ok());
+}
+
+TEST(TcpTimeWait, PollWalksOnlyLiveConnections) {
+  constexpr int kClosed = 8;
+  TwoHostWorld world;
+  auto pairs = EstablishMany(world, kClosed + 1);
+  auto polls_per_round = [&] {
+    uint64_t before = world.stack_a->stats().tcp_conn_polls;
+    world.stack_a->Poll();
+    return world.stack_a->stats().tcp_conn_polls - before;
+  };
+  EXPECT_EQ(polls_per_round(), static_cast<uint64_t>(kClosed + 1));
+
+  for (int i = 0; i < kClosed; ++i) {
+    CloseToTimeWait(world, pairs[i].first, pairs[i].second);
+  }
+  // Every closed connection is still in TIME_WAIT, still findable and still
+  // holding its port...
+  for (int i = 0; i < kClosed; ++i) {
+    auto state = world.stack_a->GetTcpState(pairs[i].first);
+    ASSERT_TRUE(state.ok());
+    EXPECT_EQ(*state, TcpState::kTimeWait);
+    EXPECT_TRUE(PortTaken(*world.stack_a, kFirstEphemeral + i));
+  }
+  // ...but a Poll round visits only the one live connection.
+  EXPECT_EQ(polls_per_round(), 1u);
+  auto live = world.stack_a->GetTcpState(pairs[kClosed].first);
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(*live, TcpState::kEstablished);
 }
 
 }  // namespace

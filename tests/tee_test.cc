@@ -74,6 +74,31 @@ TEST(TeeMemory, OobAccessClampedAndRecorded) {
   EXPECT_EQ(memory.ViolationCount(ViolationKind::kOobWrite), 1u);
 }
 
+TEST(TeeMemory, StraddlingReadCopiesPrefixAndScramblesTail) {
+  TeeMemory memory;
+  RegionId region = memory.AddRegion(RegionKind::kShared, 16, "shared");
+  Buffer data(16);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i + 1);
+  }
+  ASSERT_TRUE(memory.Write(Domain::kGuest, region, 0, data).ok());
+
+  Buffer out(32);
+  auto status = memory.Read(Domain::kGuest, region, 8, out);
+  EXPECT_EQ(status.code(), ciobase::StatusCode::kOutOfRange);
+  EXPECT_EQ(memory.ViolationCount(ViolationKind::kOobRead), 1u);
+  // Plaintext up to the region end...
+  EXPECT_EQ(Buffer(out.begin(), out.begin() + 8),
+            Buffer(data.begin() + 8, data.end()));
+  // ...then exactly the bytes a wholly out-of-range read of the same
+  // offsets returns.
+  Buffer beyond(24);
+  EXPECT_EQ(memory.Read(Domain::kGuest, region, 16, beyond).code(),
+            ciobase::StatusCode::kOutOfRange);
+  EXPECT_EQ(Buffer(out.begin() + 8, out.end()), beyond);
+  EXPECT_NE(beyond, Buffer(24, 0));
+}
+
 TEST(TeeMemory, RawWindowRespectsBounds) {
   TeeMemory memory;
   RegionId region = memory.AddRegion(RegionKind::kShared, 64, "shared");
