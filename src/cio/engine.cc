@@ -251,14 +251,21 @@ struct ConfidentialNode::DualBoundaryOps final : SocketLayer {
     return node->l5_->State(id);
   }
   ciobase::Status Close(cionet::SocketId id) override {
-    return node->l5_->Close(id);
+    ciobase::Status closed = node->l5_->Close(id);
+    node->l5_->CancelSocket(id);
+    return closed;
   }
   ciobase::Status Abort(cionet::SocketId id) override {
+    node->l5_->CancelSocket(id);
     return node->l5_->Abort(id);
   }
   ciobase::Result<size_t> SendBytes(cionet::SocketId id,
                                     ciobase::ByteSpan data) override {
-    return node->l5_->SendOne(id, data);
+    return node->l5_->SubmitStream(id, data);
+  }
+  ciobase::Status Flush() override { return node->l5_->Doorbell(); }
+  bool SendsInFlight(cionet::SocketId id) override {
+    return node->l5_->HasInFlightSends(id);
   }
   ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
                                        ciobase::Buffer& out) override {
@@ -522,13 +529,10 @@ ciobase::Status ConfidentialNode::Disconnect() {
     return ciobase::FailedPrecondition("node failed to initialize");
   }
   if (have_socket_) {
-    // Orderly FIN first (buffered data flushes), then release every pool
-    // slot / held CQE / armed counter the socket still pins — the churn
-    // loop must return the node to exact pool-accounting zero.
+    // Orderly FIN (buffered data flushes first); the socket layer releases
+    // whatever queue state the socket still pins, so the churn loop returns
+    // the node to exact pool-accounting zero.
     (void)ops_->Close(socket_);
-    if (l5_ != nullptr) {
-      l5_->CancelSocket(socket_);
-    }
   }
   have_socket_ = false;
   connected_transport_ = false;
@@ -574,13 +578,7 @@ void ConfidentialNode::PumpBytes() {
   }
   CIO_PROF_SCOPE(costs_.profiler(), "engine.pump");
   // Flush pending protected bytes into the transport, as far as it allows.
-  while (session_.HasOutbound()) {
-    auto sent = ops_->SendBytes(socket_, session_.outbound());
-    if (!sent.ok() || *sent == 0) {
-      break;
-    }
-    session_.ConsumeOutbound(*sent);
-  }
+  SendOutbound(/*flush=*/true);
   // Drain inbound bytes into the reusable scratch chunk: the steady-state
   // receive path allocates nothing per round.
   for (;;) {
@@ -606,13 +604,41 @@ void ConfidentialNode::PumpBytes() {
     }
   }
   // A handshake reply flight produced while ingesting leaves this round.
+  SendOutbound(/*flush=*/true);
+}
+
+void ConfidentialNode::SendOutbound(bool flush) {
   while (have_socket_ && session_.HasOutbound()) {
     auto sent = ops_->SendBytes(socket_, session_.outbound());
-    if (!sent.ok() || *sent == 0) {
+    if (!sent.ok()) {
       break;
     }
     session_.ConsumeOutbound(*sent);
+    if (flush) {
+      // Rung even when nothing was accepted: the doorbell is what hands
+      // SQ and pool space back.
+      (void)ops_->Flush();
+    }
+    if (*sent == 0) {
+      break;
+    }
   }
+}
+
+void ConfidentialNode::DropTransport() {
+  if (l5_ != nullptr) {
+    // Ring epoch reset: everything still queued in the SQ/CQ is abandoned
+    // (its payloads live in the resend window) and any completions the old
+    // generation still posts reap as stale instead of as tampering. Done
+    // first, so the Abort below has no per-socket state left to cancel.
+    l5_->AbandonInFlight();
+  }
+  if (have_socket_) {
+    (void)ops_->Abort(socket_);
+  }
+  have_socket_ = false;
+  connected_transport_ = false;
+  session_.ResetChannel();
 }
 
 void ConfidentialNode::BeginRecovery(const char* reason) {
@@ -623,18 +649,7 @@ void ConfidentialNode::BeginRecovery(const char* reason) {
   CIO_LOG(kDebug) << "link recovery (" << reason << ")";
   ++recovery_stats_.link_errors;
   recovery_stats_.last_fault_ns = clock_->now_ns();
-  if (have_socket_) {
-    (void)ops_->Abort(socket_);
-  }
-  have_socket_ = false;
-  connected_transport_ = false;
-  session_.ResetChannel();
-  if (l5_ != nullptr) {
-    // Ring epoch reset: everything still queued in the SQ/CQ is abandoned
-    // (its payloads live in the resend window) and any completions the old
-    // generation still posts reap as stale instead of as tampering.
-    l5_->AbandonInFlight();
-  }
+  DropTransport();
   reconnect_pending_ = true;
   resend_pending_ = true;
   if (reconnect_backoff_ns_ == 0) {
@@ -738,15 +753,7 @@ void ConfidentialNode::PollControlPlane() {
         // reconnect to the new one immediately (directed move, no backoff).
         // The resend window + fresh handshake restore exactly-once there.
         ++migrations_;
-        if (have_socket_) {
-          (void)ops_->Abort(socket_);
-        }
-        have_socket_ = false;
-        connected_transport_ = false;
-        session_.ResetChannel();
-        if (l5_ != nullptr) {
-          l5_->AbandonInFlight();
-        }
+        DropTransport();
         admitted_ = false;
         peer_ip_ = target;
         peer_port_ = port;
@@ -824,34 +831,20 @@ ciobase::Status ConfidentialNode::SendMessage(ciobase::ByteSpan message) {
     return ciobase::FailedPrecondition("link not ready");
   }
   CIO_PROF_SCOPE(costs_.profiler(), "engine.send");
-  // Async fast path: seal the framed message straight into registered pool
-  // slots and queue one scatter-gather SQ entry — no staging copy, no
-  // boundary crossing here. The next doorbell (this round's Poll, or right
-  // now in latency mode) carries the whole batch. Requires an empty legacy
-  // outbound queue so wire order equals submission order.
-  if (l5_ != nullptr && l5_->queues_ready() && !session_.HasOutbound()) {
-    L5Channel::MessageWriter writer;
-    if (l5_->BeginMessage(socket_, message.size(), config_.use_tls, writer)) {
-      ciobase::Status sealed = session_.SendInto(message, writer);
-      if (sealed.ok()) {
-        l5_->SubmitMessage(writer);
-        if (config_.l5_latency_mode) {
-          // Don't batch: ring the doorbell for this message alone.
-          (void)ops_->Poll();
-          PumpBytes();
-        }
-        return ciobase::OkStatus();
-      }
-      l5_->AbandonMessage(writer);
-      if (sealed.code() != ciobase::StatusCode::kResourceExhausted) {
-        return sealed;
-      }
-      // ResourceExhausted before any sealing: fall through to the
-      // streaming path below.
-    }
-  }
   CIO_RETURN_IF_ERROR(session_.Send(message));
-  PumpBytes();
+  if (config_.profile != StackProfile::kDualBoundary) {
+    PumpBytes();
+    return ciobase::OkStatus();
+  }
+  // Queue only: this round's Poll() rings one doorbell for every message
+  // sent since the last one. Whatever backpressure leaves in the session's
+  // outbound queue goes out from PumpBytes() behind it, in order.
+  SendOutbound(/*flush=*/false);
+  if (config_.l5_latency_mode) {
+    // Don't batch: ring the doorbell for this message alone.
+    (void)ops_->Poll();
+    PumpBytes();
+  }
   return ciobase::OkStatus();
 }
 

@@ -55,7 +55,8 @@ namespace cio {
 // profile provides the same byte-stream interface over its own machinery
 // (host syscalls, guest stack, or the L5 channel into the I/O compartment).
 // ConfidentialNode drives exactly one socket through it; the multi-tenant
-// ConfidentialServer (src/serve/) multiplexes many.
+// ConfidentialServer (src/serve/) multiplexes many. It is the only send
+// path: SendBytes queues, Flush pushes the queue.
 class SocketLayer {
  public:
   virtual ~SocketLayer() = default;
@@ -67,14 +68,24 @@ class SocketLayer {
       cionet::SocketId listener) = 0;
   virtual ciobase::Result<cionet::TcpState> State(cionet::SocketId id) = 0;
   // Orderly close (FIN after buffered data); the server's draining state
-  // uses it.
+  // uses it. Close and Abort both release whatever queue state the socket
+  // still pins.
   virtual ciobase::Status Close(cionet::SocketId id) = 0;
   // Abortive close (RST now); the recovery path uses it to kill a dead
   // connection before re-establishing.
   virtual ciobase::Status Abort(cionet::SocketId id) = 0;
-  // Returns bytes accepted (possibly 0 under backpressure).
+  // Queues `data` and returns bytes accepted (possibly 0 under
+  // backpressure). A direct call on the syscall and guest-stack profiles;
+  // on dual-boundary the bytes wait in the submission queue for the next
+  // Flush() or Poll().
   virtual ciobase::Result<size_t> SendBytes(cionet::SocketId id,
                                             ciobase::ByteSpan data) = 0;
+  // Pushes everything SendBytes queued: one doorbell on dual-boundary, a
+  // no-op where SendBytes is already a direct call.
+  virtual ciobase::Status Flush() { return ciobase::OkStatus(); }
+  // True while bytes SendBytes accepted for `id` have not yet left the
+  // queue; an orderly close waits for them.
+  virtual bool SendsInFlight(cionet::SocketId /*id*/) { return false; }
   // Fills `out` with the next chunk (capacity reused across calls); returns
   // the byte count — 0 when nothing is pending — kFailedPrecondition at
   // orderly EOF, kLinkReset when the connection died underneath us.
@@ -140,6 +151,8 @@ class ConfidentialNode {
   // replay unacknowledged messages and the receiver can drop duplicates:
   // every message is delivered exactly once, or counted in
   // recovery_stats().messages_lost. (See cio::Session for the machinery.)
+  // On dual-boundary the sealed message is queued for this round's doorbell
+  // in Poll() (at once with l5_latency_mode); other profiles send it now.
   ciobase::Status SendMessage(ciobase::ByteSpan message);
   ciobase::Result<ciobase::Buffer> ReceiveMessage();
 
@@ -153,8 +166,8 @@ class ConfidentialNode {
   ciohost::Adversary& adversary() { return adversary_; }
   ciotee::TeeMemory& memory() { return memory_; }
   ciotee::CompartmentManager* compartments() { return compartments_.get(); }
-  // The dual-boundary async datapath (null on other profiles): the server
-  // drives batched egress + per-connection teardown through this.
+  // The dual-boundary L5 channel (null on other profiles), for stats and
+  // hostile-host tests; data moves through sockets().
   L5Channel* l5() { return l5_.get(); }
   L2Transport* l2_transport() { return l2_transport_.get(); }
   ciovirtio::VirtioNetDriver* virtio_driver() { return virtio_driver_.get(); }
@@ -209,6 +222,12 @@ class ConfidentialNode {
   struct DualBoundaryOps;
 
   void PumpBytes();
+  // Hands the session's outbound bytes to the socket layer; with `flush`,
+  // pushes each accepted chunk at once.
+  void SendOutbound(bool flush);
+  // Kills the live transport and its queue state; the session keeps its
+  // sequence numbers and resend window for the replay.
+  void DropTransport();
   // Tears down the failed secure channel and schedules re-establishment
   // (client re-connects with backoff; server re-arms its accept loop).
   void BeginRecovery(const char* reason);

@@ -11,11 +11,13 @@
 //    policy [34]). The stack only ever touches that region, addressed by
 //    slot index — it never validates an app pointer, the app never
 //    dereferences a stack pointer.
-//  * Async zero-copy datapath: the app seals TLS records directly into
-//    registered slots, queues submission entries (scatter-gather for large
-//    messages), and rings the doorbell ONCE per batch — one boundary
-//    crossing amortized over every queued operation, instead of a crossing
-//    per message. Completions are reaped lazily from the CQ with no
+//  * Async datapath: SubmitStream copies already-sealed TLS bytes into
+//    registered slots (an app-local copy; the stack then transmits from the
+//    slot in place), queues scatter-gather submission entries, and the
+//    doorbell rings ONCE per batch — one boundary crossing amortized over
+//    every queued operation, instead of a crossing per message. The engine
+//    and the server reach this only through SocketLayer (SendBytes queues,
+//    Flush rings). Completions are reaped lazily from the CQ with no
 //    crossing at all.
 //  * Receive trust: everything the I/O side writes back — CQ indices,
 //    completion codes, lengths — is hostile-host-writable, so the reaper
@@ -35,11 +37,9 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "src/base/clock.h"
 #include "src/cio/buffer_pool.h"
-#include "src/cio/session.h"
 #include "src/cio/sqcq.h"
 #include "src/net/stack.h"
 #include "src/tee/compartment.h"
@@ -48,11 +48,6 @@ namespace cio {
 
 enum class L5ReceiveMode { kCopy, kRevoke, kSealed };
 enum class L5BoundaryKind { kCompartment, kDualTee };
-
-// Messages at or below this use the seal-into-slot fast path (fits the
-// kSqMaxSegments scatter-gather budget with default slots); larger payloads
-// fall back to the streaming path.
-inline constexpr size_t kMaxSqMessageBytes = 24000;
 
 class L5Channel {
  public:
@@ -86,39 +81,6 @@ class L5Channel {
   bool queues_ready() const { return queues_ready_; }
   const L5QueueConfig& queue_config() const { return queues_; }
 
-  // Slot budget a message of `payload_bytes` needs through SendInto (record
-  // per fragment, header record first) or the plaintext framing.
-  static uint32_t SlotsForMessage(size_t payload_bytes, bool use_tls,
-                                  uint32_t slot_size);
-
-  // SegmentSink over a reserved run of pool slots: Session::SendInto seals
-  // records straight into registered memory, and SubmitMessage() turns the
-  // written prefixes into one scatter-gather SQ entry.
-  class MessageWriter : public SegmentSink {
-   public:
-    MessageWriter() = default;
-    ciobase::MutableByteSpan NextSpan(size_t min_bytes) override;
-    void Commit(size_t n) override;
-
-   private:
-    friend class L5Channel;
-    L5Channel* channel_ = nullptr;
-    uint32_t socket_ = 0;
-    std::vector<uint16_t> slots_;
-    std::vector<uint32_t> used_;  // bytes written per slot
-    size_t current_ = 0;
-    bool active_ = false;
-  };
-
-  // Reserves SQ space + slots for one message. False means backpressure
-  // (SQ full or pool exhausted) or the message doesn't fit the fast path —
-  // the caller falls back to the streaming path. A successful Begin MUST be
-  // paired with SubmitMessage or AbandonMessage.
-  bool BeginMessage(cionet::SocketId socket, size_t payload_bytes,
-                    bool use_tls, MessageWriter& writer);
-  void SubmitMessage(MessageWriter& writer);
-  void AbandonMessage(MessageWriter& writer);
-
   // Streaming submission: copies `data` into freshly acquired slots (the
   // app's one write into registered memory) and queues scatter-gather send
   // entries. Returns bytes accepted — short on backpressure; the caller
@@ -146,9 +108,10 @@ class L5Channel {
   std::optional<RecvEvent> NextEvent(cionet::SocketId socket);
 
   // Tears down one socket's queue state (armed receives, queued sends,
-  // undelivered events) without disturbing other sockets — the server's
-  // park path. Slots return to the pool; delivery is owned by the session
-  // resend window.
+  // undelivered events) without disturbing other sockets — the socket
+  // layer's Close/Abort call this. Slots return to the pool; delivery is
+  // owned by the session resend window. Crosses the boundary only when the
+  // socket still pins submission entries.
   void CancelSocket(cionet::SocketId socket);
 
   // True while this socket still has submitted-but-unreaped send entries —
@@ -161,11 +124,7 @@ class L5Channel {
   // window once the channel is re-established.
   void AbandonInFlight();
 
-  // --- One-shot wrappers (the legacy per-message API surface) ---------------
-
-  // Submit-and-doorbell one streaming send. Returns bytes accepted.
-  ciobase::Result<size_t> SendOne(cionet::SocketId socket,
-                                  ciobase::ByteSpan data);
+  // --- One-shot receive -----------------------------------------------------
 
   // Arm, doorbell, and drain this socket's receive events into `out`
   // (cleared; capacity reused). Status conventions follow the legacy

@@ -138,11 +138,6 @@ void ConfidentialServer::AcceptPending() {
 }
 
 void ConfidentialServer::ParkConnection(Connection& conn) {
-  if (cio::L5Channel* l5 = node_->l5(); l5 != nullptr) {
-    // Retire this socket's SQ/CQ state (queued entries, undelivered events,
-    // registered slots) without disturbing the other connections' rings.
-    l5->CancelSocket(conn.socket);
-  }
   (void)sockets_->Abort(conn.socket);
   if (conn.session != nullptr && node_->config().recovery.enabled &&
       conn.state != ConnState::kDraining &&
@@ -160,14 +155,6 @@ void ConfidentialServer::ParkConnection(Connection& conn) {
 
 void ConfidentialServer::CloseAndRelease(Connection& conn) {
   (void)sockets_->Close(conn.socket);
-  if (cio::L5Channel* l5 = node_->l5(); l5 != nullptr) {
-    // The FIN is queued below the SQ/CQ layer, so this releases only what
-    // the socket still pins up here: armed receive entries, held
-    // completions, registered pool slots. Without it every orderly close
-    // leaked its receive slots until pool exhaustion (the park/reattach
-    // audit: parked sessions release at park time, closed ones here).
-    l5->CancelSocket(conn.socket);
-  }
   conn.session.reset();
   conn.state = ConnState::kClosed;
 }
@@ -319,12 +306,9 @@ void ConfidentialServer::FlushOutbound() {
   // deficit lasts, so a hot client cannot monopolize the transport's batch
   // slots. Draining connections flush here too, then FIN.
   const size_t deficit_cap = config_.drr_quantum_bytes * 8;
-  // Async egress: each connection's slice goes into the submission queue
-  // (sealed bytes copied into registered slots, no boundary crossing), and
-  // ONE doorbell after the loop carries the whole round's batch. Profiles
-  // without the async datapath fall back to the per-call socket layer.
-  cio::L5Channel* l5 = node_->l5();
-  const bool async = l5 != nullptr && l5->queues_ready();
+  // Each connection's slice is queued (on dual-boundary: copied into the
+  // submission queue, no boundary crossing), and ONE Flush after the loop
+  // carries the whole round's batch.
   bool submitted = false;
   for (auto& [id, conn] : connections_) {
     if (conn.state == ConnState::kClosed || conn.session == nullptr) {
@@ -334,11 +318,11 @@ void ConfidentialServer::FlushOutbound() {
       conn.drr_deficit = 0;  // not backlogged: no credit hoarding
       if ((conn.state == ConnState::kDraining ||
            conn.state == ConnState::kMigrating) &&
-          !(async && l5->HasInFlightSends(conn.socket))) {
-        // Async egress: "no session backlog" is not "flushed" — wait until
-        // the SQ has no entries left for this socket before the FIN.
-        // (kMigrating rides the same machinery: once the redirect is out,
-        // nothing local remains authoritative and the socket closes.)
+          !sockets_->SendsInFlight(conn.socket)) {
+        // "No session backlog" is not "flushed" — wait until the queue has
+        // nothing left for this socket before the FIN. (kMigrating rides
+        // the same machinery: once the redirect is out, nothing local
+        // remains authoritative and the socket closes.)
         CloseAndRelease(conn);
       }
       continue;
@@ -349,8 +333,7 @@ void ConfidentialServer::FlushOutbound() {
       const ciobase::Buffer& pending = conn.session->outbound();
       size_t want = std::min(pending.size(), conn.drr_deficit);
       ciobase::ByteSpan slice(pending.data(), want);
-      auto sent = async ? l5->SubmitStream(conn.socket, slice)
-                        : sockets_->SendBytes(conn.socket, slice);
+      auto sent = sockets_->SendBytes(conn.socket, slice);
       if (!sent.ok()) {
         ParkConnection(conn);
         break;
@@ -365,15 +348,15 @@ void ConfidentialServer::FlushOutbound() {
     if ((conn.state == ConnState::kDraining ||
          conn.state == ConnState::kMigrating) &&
         conn.session != nullptr && !conn.session->HasOutbound() &&
-        !(async && l5->HasInFlightSends(conn.socket))) {
+        !sockets_->SendsInFlight(conn.socket)) {
       CloseAndRelease(conn);
     }
   }
-  if (async && submitted) {
+  if (submitted) {
     // A tampered completion here is surfaced again by the next receive
-    // poll, which parks the affected connection; the doorbell itself only
+    // poll, which parks the affected connection; the flush itself only
     // needs to push the batch.
-    (void)l5->Doorbell();
+    (void)sockets_->Flush();
   }
 }
 

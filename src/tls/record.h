@@ -59,12 +59,6 @@ class SealingKey {
   // zero-allocation send path (plaintext must not alias out).
   void SealInto(RecordType type, ciobase::ByteSpan plaintext,
                 ciobase::Buffer& out);
-  // Seals a full protected record directly into a caller-provided span —
-  // the registered-slot path, where no intermediate buffer may exist. `out`
-  // must hold plaintext.size() + kSealedRecordOverhead bytes and must not
-  // alias `plaintext`. Returns bytes written.
-  size_t SealToSpan(RecordType type, ciobase::ByteSpan plaintext,
-                    ciobase::MutableByteSpan out);
   // Opens `body` (ciphertext||tag) for a record with the given header.
   ciobase::Result<ciobase::Buffer> Open(RecordType type,
                                         ciobase::ByteSpan body);

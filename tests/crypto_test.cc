@@ -57,6 +57,8 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     while (i < data.size()) {
       size_t n = std::min(step, data.size() - i);
       h.Update(ByteSpan(data.data() + i, n));
+      // An empty span (null data) with a partial block buffered is a no-op.
+      h.Update(ByteSpan());
       i += n;
       step = step * 2 + 1;
     }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/base/rng.h"
 #include "src/cio/attack_campaign.h"
 #include "src/cio/engine.h"
@@ -176,6 +178,54 @@ TEST(DualBoundary, DualTeeBoundaryCostsMore) {
   // Same work, strictly more modeled time under the heavyweight boundary.
   EXPECT_GT(b.client->costs().counter("tee_switches"), 0u);
   EXPECT_GT(dual_tee_ns, compartment_ns);
+}
+
+TEST(DualBoundary, SendsInOneRoundShareTheNextPollsDoorbell) {
+  for (bool latency_mode : {false, true}) {
+    SCOPED_TRACE(latency_mode ? "latency mode" : "batched");
+    StackConfig client = Options(StackProfile::kDualBoundary, 1);
+    client.l5_latency_mode = latency_mode;
+    LinkedPair pair(client, Options(StackProfile::kDualBoundary, 2));
+    ASSERT_TRUE(pair.Establish());
+    const L5Channel* l5 = pair.client->l5();
+    ASSERT_NE(l5, nullptr);
+    // What an idle Poll rings: the batch doorbell plus the receive drain.
+    uint64_t doorbells = l5->stats().doorbells;
+    pair.client->Poll();
+    const uint64_t idle_poll = l5->stats().doorbells - doorbells;
+
+    const L5Channel::Stats start = l5->stats();
+    ciobase::Rng rng(11);
+    std::vector<Buffer> sent;
+    for (int i = 0; i < 8; ++i) {
+      sent.push_back(rng.Bytes(512));
+      doorbells = l5->stats().doorbells;
+      ASSERT_TRUE(pair.client->SendMessage(sent.back()).ok());
+      if (latency_mode) {
+        EXPECT_GT(l5->stats().doorbells, doorbells) << "message " << i;
+      }
+    }
+    // One SQ entry per 512 B message either way.
+    EXPECT_EQ(l5->stats().sq_submitted, start.sq_submitted + 8);
+    if (latency_mode) {
+      EXPECT_GE(l5->stats().crossings, start.crossings + 8);
+    } else {
+      EXPECT_EQ(l5->stats().crossings, start.crossings);
+      EXPECT_EQ(l5->stats().doorbells, start.doorbells);
+      pair.client->Poll();
+      EXPECT_EQ(l5->stats().doorbells, start.doorbells + idle_poll);
+    }
+
+    std::vector<Buffer> received;
+    ASSERT_TRUE(pair.PumpUntil([&] {
+      for (auto message = pair.server->ReceiveMessage(); message.ok();
+           message = pair.server->ReceiveMessage()) {
+        received.push_back(std::move(*message));
+      }
+      return received.size() == sent.size();
+    }));
+    EXPECT_EQ(received, sent);
+  }
 }
 
 // --- Figure-level orderings ----------------------------------------------------

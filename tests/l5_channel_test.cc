@@ -81,6 +81,16 @@ struct L5World {
     }
   }
 
+  // Queues `data` and rings the doorbell for it at once.
+  ciobase::Result<size_t> Send(cionet::SocketId socket, const Buffer& data) {
+    auto accepted = l5->SubmitStream(socket, data);
+    if (!accepted.ok()) {
+      return accepted;
+    }
+    CIO_RETURN_IF_ERROR(l5->Doorbell());
+    return accepted;
+  }
+
   // Test sugar over the submit-and-reap ReceiveOne entry point.
   ciobase::Result<Buffer> Receive(cionet::SocketId socket, size_t max_bytes) {
     Buffer out;
@@ -104,7 +114,7 @@ TEST(L5Channel, SendIsZeroCopyThroughRegisteredSlots) {
   auto [server, client] = world.Establish();
   Buffer data = BufferFromString("through the io heap");
   uint64_t copies_before = world.costs.counter("bytes_copied");
-  auto sent = world.l5->SendOne(server, data);
+  auto sent = world.Send(server, data);
   ASSERT_TRUE(sent.ok());
   EXPECT_EQ(*sent, data.size());
   // No boundary copy was charged on send: the payload went into a
@@ -179,7 +189,7 @@ TEST(L5Channel, CrossingsAreCountedAndCharged) {
   auto [server, client] = world.Establish();
   (void)client;
   uint64_t before = world.l5->stats().crossings;
-  (void)world.l5->SendOne(server, BufferFromString("x"));
+  (void)world.Send(server, BufferFromString("x"));
   (void)world.Receive(server, 16);
   (void)world.l5->Poll();
   EXPECT_GE(world.l5->stats().crossings, before + 3);
@@ -196,14 +206,9 @@ TEST(L5Channel, BatchedSubmissionSharesOneDoorbell) {
   uint64_t crossings_before = world.l5->stats().crossings;
   Buffer payload(512, 0xab);
   for (int i = 0; i < 8; ++i) {
-    L5Channel::MessageWriter writer;
-    ASSERT_TRUE(
-        world.l5->BeginMessage(server, payload.size(), false, writer));
-    ciobase::MutableByteSpan span = writer.NextSpan(payload.size());
-    ASSERT_GE(span.size(), payload.size());
-    std::copy(payload.begin(), payload.end(), span.begin());
-    writer.Commit(payload.size());
-    world.l5->SubmitMessage(writer);
+    auto accepted = world.l5->SubmitStream(server, payload);
+    ASSERT_TRUE(accepted.ok());
+    ASSERT_EQ(*accepted, payload.size());
   }
   EXPECT_EQ(world.l5->stats().crossings, crossings_before);  // no crossing yet
   ASSERT_TRUE(world.l5->Doorbell().ok());
@@ -215,7 +220,7 @@ TEST(L5Channel, DualTeeBoundaryChargesTeeSwitches) {
   L5World world(L5ReceiveMode::kCopy, L5BoundaryKind::kDualTee);
   auto [server, client] = world.Establish();
   (void)client;
-  (void)world.l5->SendOne(server, BufferFromString("x"));
+  (void)world.Send(server, BufferFromString("x"));
   EXPECT_GT(world.costs.counter("tee_switches"), 0u);
 }
 
@@ -240,19 +245,6 @@ TEST(L5Channel, OwnershipTransferRevokesOldOwner) {
       world.compartments.Transfer(world.app, *handle, world.app).ok());
   EXPECT_FALSE(world.compartments.Access(world.io, *handle).ok());
   EXPECT_TRUE(world.compartments.Access(world.app, *handle).ok());
-}
-
-TEST(L5Channel, SlotsForMessageMatchesWriterConsumption) {
-  // The public estimate and the writer must agree, or BeginMessage would
-  // reserve the wrong number of slots.
-  for (size_t payload : {size_t{1}, size_t{100}, size_t{4096}, size_t{9000},
-                         size_t{16384}, size_t{24000}}) {
-    size_t plain = L5Channel::SlotsForMessage(payload, false, 4096);
-    EXPECT_EQ(plain, (12 + payload + 4095) / 4096) << payload;
-    size_t tls = L5Channel::SlotsForMessage(payload, true, 4096);
-    EXPECT_GE(tls, plain) << payload;
-    EXPECT_LE(tls, 8u) << payload;
-  }
 }
 
 TEST(L5Channel, ManyMessagesDoNotExhaustHeaps) {

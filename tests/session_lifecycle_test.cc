@@ -15,9 +15,10 @@
 //     typed kTampered.
 //   * Fuzz: a Mutator-driven loop over the sealed blob — every mutated
 //     import must fail typed, pristine imports must succeed.
-//   * Pool accounting: after park/reattach churn plus orderly disconnect
-//     churn, every registered pool slot is back in the free list on both
-//     sides of the boundary (the park/reattach leak audit).
+//   * Pool accounting: after park/reattach churn, an admission refusal, a
+//     connection killed for hostile framing, and orderly disconnect churn,
+//     every registered pool slot is back in the free list on both sides of
+//     the boundary (the park/reattach leak audit).
 
 #include <gtest/gtest.h>
 
@@ -26,7 +27,9 @@
 #include <vector>
 
 #include "src/fuzz/mutator.h"
+#include "src/net/fabric.h"
 #include "src/serve/harness.h"
+#include "src/tls/session.h"
 #include "src/tee/monotonic_counter.h"
 
 namespace {
@@ -421,12 +424,73 @@ TEST(MigrationFuzz, MutatedSealsFailTyped) {
   EXPECT_EQ(vault.stats().opened, pristine);
 }
 
-// --- Pool accounting (satellite a) -------------------------------------------
+// --- Pool accounting ---------------------------------------------------------
+
+// A bare TLS client on the fabric (plain stack, no engine, no session
+// framing): it completes the handshake with the shared PSK and then writes
+// whatever plaintext it likes inside the protected stream.
+struct RawTlsPeer {
+  cionet::DirectFabricPort port;
+  cionet::NetStack stack;
+  ciotls::TlsSession tls;
+  cionet::SocketId socket{};
+  Buffer pending;
+
+  RawTlsPeer(MultiClientWorld& world, uint8_t node_id)
+      : port(world.fabric.get(), "raw-" + std::to_string(node_id),
+             cionet::MacAddress::FromId(node_id)),
+        stack(&port, &world.clock, StackConfig(node_id)),
+        tls(ciotls::TlsRole::kClient,
+            BufferFromString("attestation-derived-link-key-0001"), "cio-link",
+            node_id) {}
+
+  static cionet::NetStack::Config StackConfig(uint8_t node_id) {
+    cionet::NetStack::Config config;
+    config.ip = cionet::Ipv4Address::FromOctets(10, 0, 0, node_id);
+    config.seed = node_id;
+    return config;
+  }
+
+  bool Connect(const MultiClientWorld& world) {
+    auto connected =
+        stack.TcpConnect(world.server_node->ip(), world.server->config().port);
+    if (!connected.ok()) {
+      return false;
+    }
+    socket = *connected;
+    tls.Start();
+    return true;
+  }
+
+  void Pump() {
+    (void)stack.Poll();
+    ciobase::Append(pending, tls.TakeOutput());
+    if (!pending.empty()) {
+      auto sent = stack.TcpSend(socket, pending);
+      if (sent.ok()) {
+        pending.erase(pending.begin(),
+                      pending.begin() + static_cast<long>(*sent));
+      }
+    }
+    uint8_t buf[4096];
+    auto got = stack.TcpReceive(socket, buf);
+    if (got.ok() && *got > 0) {
+      (void)tls.Feed(ciobase::ByteSpan(buf, *got));
+    }
+  }
+
+  bool Dead() const {
+    auto state = stack.GetTcpState(socket);
+    return !state.ok() || *state == cionet::TcpState::kClosed;
+  }
+};
 
 TEST(PoolAccounting, SlotsBalancedAfterChurnAndFaults) {
   MultiClientWorld::Options options;
   options.profile = StackProfile::kDualBoundary;
   options.num_clients = 8;
+  // Room for the fleet plus one raw peer: a second raw peer is refused.
+  options.server_config.max_connections = 9;
   MultiClientWorld world(options);
   ASSERT_TRUE(world.EstablishAll());
 
@@ -438,6 +502,37 @@ TEST(PoolAccounting, SlotsBalancedAfterChurnAndFaults) {
       {ciohost::FaultStrategy::kLinkKill, world.clock.now_ns(), 12'000'000});
   ASSERT_TRUE(echo.Run(6));
   EXPECT_GE(world.server->stats().recovered, 1u);
+
+  // Admission refusal: one raw peer takes the last table slot and finishes
+  // its handshake; a second one is refused with an abortive RST.
+  RawTlsPeer admitted(world, 200);
+  RawTlsPeer refused(world, 201);
+  auto pump_peers_until = [&](const std::function<bool()>& done) {
+    return world.PumpUntil(
+        [&] {
+          admitted.Pump();
+          refused.Pump();
+          return done();
+        },
+        200000);
+  };
+  ASSERT_TRUE(admitted.Connect(world));
+  ASSERT_TRUE(pump_peers_until([&] {
+    return admitted.tls.established() &&
+           world.server->EstablishedConnections().size() == 9;
+  }));
+  ASSERT_TRUE(refused.Connect(world));
+  ASSERT_TRUE(pump_peers_until([&] {
+    return world.server->stats().rejected_admission >= 1 && refused.Dead();
+  }));
+
+  // Tampered kill: authenticated bytes whose framing claims a message far
+  // over the cap — terminal for the connection, nothing to park.
+  ASSERT_TRUE(admitted.tls.WriteMessage(Buffer(16, 0xff)).ok());
+  ASSERT_TRUE(pump_peers_until([&] {
+    return world.server->stats().tampered == 1 &&
+           world.server->active_connections() == 8;
+  }));
 
   // Orderly churn: every client disconnects; the server reaps everything.
   for (auto& client : world.clients) {
@@ -451,11 +546,13 @@ TEST(PoolAccounting, SlotsBalancedAfterChurnAndFaults) {
       200000));
 
   // The audit: every registered pool slot is back in the free list on both
-  // sides of the boundary. Before the CloseAndRelease/Disconnect fix the
-  // server leaked each closed connection's armed receive slots.
+  // sides of the boundary and nothing is left in flight. Before the
+  // CloseAndRelease/Disconnect fix the server leaked each closed
+  // connection's armed receive slots.
   cio::L5Channel* server_l5 = world.server_node->l5();
   ASSERT_NE(server_l5, nullptr);
   EXPECT_EQ(server_l5->free_slots(), server_l5->queue_config().pool_slots);
+  EXPECT_EQ(server_l5->in_flight_entries(), 0u);
   for (auto& client : world.clients) {
     cio::L5Channel* l5 = client->l5();
     ASSERT_NE(l5, nullptr);

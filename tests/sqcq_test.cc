@@ -174,26 +174,19 @@ struct SqcqWorld {
     }
   }
 
-  // Seals `payload` into pool slots and queues the SQ entry (no doorbell).
+  // Copies `payload` into pool slots and queues its SQ entries (no
+  // doorbell). False when backpressure accepted less than all of it.
   bool QueuePlain(cionet::SocketId socket, const Buffer& payload) {
-    L5Channel::MessageWriter writer;
-    if (!l5->BeginMessage(socket, payload.size(), /*use_tls=*/false, writer)) {
-      return false;
+    auto accepted = l5->SubmitStream(socket, payload);
+    return accepted.ok() && *accepted == payload.size();
+  }
+
+  // Queues `payload` and rings the doorbell for it at once.
+  ciobase::Status Send(cionet::SocketId socket, const Buffer& payload) {
+    if (!QueuePlain(socket, payload)) {
+      return ciobase::ResourceExhausted("submission backpressure");
     }
-    size_t written = 0;
-    while (written < payload.size()) {
-      ciobase::MutableByteSpan span = writer.NextSpan(1);
-      if (span.empty()) {
-        l5->AbandonMessage(writer);
-        return false;
-      }
-      size_t n = std::min(span.size(), payload.size() - written);
-      std::memcpy(span.data(), payload.data() + written, n);
-      writer.Commit(n);
-      written += n;
-    }
-    l5->SubmitMessage(writer);
-    return true;
+    return l5->Doorbell();
   }
 
   // Hostile host: write a CQ entry at the published tail and advance it.
@@ -242,7 +235,7 @@ TEST(Sqcq, PoolExhaustionBackpressuresUntilCompletionsReturnSlots) {
   SqcqWorld world(tiny);
   auto [server, client] = world.Establish();
   ciobase::Rng rng(3);
-  Buffer big = rng.Bytes(1500);  // 12B framing + 1500B -> 6 of 8 slots
+  Buffer big = rng.Bytes(1500);  // 1500B -> 6 of 8 slots
 
   uint64_t backpressure_before = world.l5->stats().sq_backpressure;
   EXPECT_TRUE(world.QueuePlain(server, big));
@@ -256,6 +249,37 @@ TEST(Sqcq, PoolExhaustionBackpressuresUntilCompletionsReturnSlots) {
   EXPECT_TRUE(world.QueuePlain(server, big));
   world.Pump();
   EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots);
+}
+
+// --- Per-socket teardown -----------------------------------------------------
+
+TEST(Sqcq, CancelSocketReleasesPinnedStateAndCrossesOnlyThen) {
+  SqcqWorld world;
+  auto [server, client] = world.Establish();
+  (void)client;
+
+  // Nothing submitted for the socket: cancelling is app-side only.
+  uint64_t crossings = world.l5->stats().crossings;
+  world.l5->CancelSocket(server);
+  EXPECT_EQ(world.l5->stats().crossings, crossings);
+
+  // Armed receives (consumed io-side) and a queued send (published, not yet
+  // consumed) pin slots until the cancel.
+  Buffer sink;
+  ASSERT_TRUE(world.l5->ReceiveOne(server, 4096, sink).ok());
+  ASSERT_TRUE(world.QueuePlain(server, BufferFromString("never sent")));
+  ASSERT_GT(world.l5->in_flight_entries(), 1u);
+  crossings = world.l5->stats().crossings;
+  world.l5->CancelSocket(server);
+  EXPECT_EQ(world.l5->stats().crossings, crossings + 1);
+  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_EQ(world.l5->free_slots(), world.l5->queue_config().pool_slots);
+
+  // The I/O side purged both entries: the next doorbell posts nothing that
+  // could reap as an unknown completion.
+  uint64_t completions = world.l5->stats().cq_completions;
+  EXPECT_TRUE(world.l5->Doorbell().ok());
+  EXPECT_EQ(world.l5->stats().cq_completions, completions);
 }
 
 // --- CQ overflow spill -------------------------------------------------------
@@ -335,7 +359,7 @@ TEST(Sqcq, CompletionsReapOutOfSubmissionOrderAcrossSockets) {
 TEST(Sqcq, DuplicateCompletionIsTampering) {
   SqcqWorld world;
   auto [server, client] = world.Establish();
-  ASSERT_TRUE(world.l5->SendOne(server, BufferFromString("once")).ok());
+  ASSERT_TRUE(world.Send(server, BufferFromString("once")).ok());
   world.Pump();
   ASSERT_EQ(world.l5->in_flight_entries(), 0u);
 
@@ -354,7 +378,7 @@ TEST(Sqcq, DuplicateCompletionIsTampering) {
 TEST(Sqcq, StaleEpochCompletionIsDroppedNotFatal) {
   SqcqWorld world;
   auto [server, client] = world.Establish();
-  ASSERT_TRUE(world.l5->SendOne(server, BufferFromString("pre-reset")).ok());
+  ASSERT_TRUE(world.Send(server, BufferFromString("pre-reset")).ok());
   world.Pump();
 
   // Ring reset (recovery path): the old generation may still owe
