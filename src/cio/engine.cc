@@ -145,12 +145,6 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
   ciobase::Result<size_t> AcceptPending(cionet::SocketId id) override {
     return node->host_stack_->TcpAcceptPending(id);
   }
-  ciobase::Result<bool> Readable(cionet::SocketId id) override {
-    return node->host_stack_->TcpReadable(id);
-  }
-  ciobase::Result<size_t> SendSpace(cionet::SocketId id) override {
-    return node->host_stack_->TcpSendSpace(id);
-  }
   ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
     return node->host_stack_->GetTcpPeer(id);
   }
@@ -199,12 +193,6 @@ struct ConfidentialNode::GuestStackOps final : SocketLayer {
   }
   ciobase::Result<size_t> AcceptPending(cionet::SocketId id) override {
     return node->guest_stack_->TcpAcceptPending(id);
-  }
-  ciobase::Result<bool> Readable(cionet::SocketId id) override {
-    return node->guest_stack_->TcpReadable(id);
-  }
-  ciobase::Result<size_t> SendSpace(cionet::SocketId id) override {
-    return node->guest_stack_->TcpSendSpace(id);
   }
   ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
     return node->guest_stack_->GetTcpPeer(id);
@@ -267,18 +255,13 @@ struct ConfidentialNode::DualBoundaryOps final : SocketLayer {
   bool SendsInFlight(cionet::SocketId id) override {
     return node->l5_->HasInFlightSends(id);
   }
+  void AbandonInFlight() override { node->l5_->AbandonInFlight(); }
   ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
                                        ciobase::Buffer& out) override {
     return node->l5_->ReceiveOne(id, max, out);
   }
   ciobase::Result<size_t> AcceptPending(cionet::SocketId id) override {
     return node->l5_->AcceptPending(id);
-  }
-  ciobase::Result<bool> Readable(cionet::SocketId id) override {
-    return node->l5_->Readable(id);
-  }
-  ciobase::Result<size_t> SendSpace(cionet::SocketId id) override {
-    return node->l5_->SendSpace(id);
   }
   ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
     return node->l5_->Peer(id);
@@ -578,7 +561,20 @@ void ConfidentialNode::PumpBytes() {
   }
   CIO_PROF_SCOPE(costs_.profiler(), "engine.pump");
   // Flush pending protected bytes into the transport, as far as it allows.
-  SendOutbound(/*flush=*/true);
+  // On dual-boundary that doorbell also harvests what arrived since the
+  // last one — e.g. frames the trailing device poll of ops_->Poll()
+  // delivered — so they do not wait a whole round. With nothing to send,
+  // ring it for the harvest alone (a no-op on the other profiles).
+  if (!SendOutbound(/*flush=*/true)) {
+    ciobase::Status harvested = ops_->Flush();
+    if (harvested.code() == ciobase::StatusCode::kTampered) {
+      // A forged completion: the ring may have lost a real one. Reset it
+      // and replay from the resend window. (A flush inside SendOutbound
+      // that finds one leaves it for the next Poll, which sees it again.)
+      BeginRecovery(harvested.message().c_str());
+      return;
+    }
+  }
   // Drain inbound bytes into the reusable scratch chunk: the steady-state
   // receive path allocates nothing per round.
   for (;;) {
@@ -607,7 +603,8 @@ void ConfidentialNode::PumpBytes() {
   SendOutbound(/*flush=*/true);
 }
 
-void ConfidentialNode::SendOutbound(bool flush) {
+bool ConfidentialNode::SendOutbound(bool flush) {
+  bool flushed = false;
   while (have_socket_ && session_.HasOutbound()) {
     auto sent = ops_->SendBytes(socket_, session_.outbound());
     if (!sent.ok()) {
@@ -618,21 +615,22 @@ void ConfidentialNode::SendOutbound(bool flush) {
       // Rung even when nothing was accepted: the doorbell is what hands
       // SQ and pool space back.
       (void)ops_->Flush();
+      flushed = true;
     }
     if (*sent == 0) {
       break;
     }
   }
+  return flushed;
 }
 
 void ConfidentialNode::DropTransport() {
-  if (l5_ != nullptr) {
-    // Ring epoch reset: everything still queued in the SQ/CQ is abandoned
-    // (its payloads live in the resend window) and any completions the old
-    // generation still posts reap as stale instead of as tampering. Done
-    // first, so the Abort below has no per-socket state left to cancel.
-    l5_->AbandonInFlight();
-  }
+  // Dual-boundary ring epoch reset: everything still queued in the SQ/CQ
+  // is abandoned (its payloads live in the resend window) and any
+  // completions the old generation still posts reap as stale instead of as
+  // tampering. Done first, so the Abort below has no per-socket state left
+  // to cancel.
+  ops_->AbandonInFlight();
   if (have_socket_) {
     (void)ops_->Abort(socket_);
   }
@@ -790,6 +788,16 @@ void ConfidentialNode::Poll() {
   }
   // (kLinkReset needs no action here: the transport already reattached its
   // ring and TCP retransmission replays the frames that died with it.)
+  if (link.code() == ciobase::StatusCode::kTampered) {
+    // A forged completion, found by this doorbell or reported again from
+    // an earlier one: the ring may have lost a real completion. Reset it
+    // and replay from the resend window.
+    if (have_socket_) {
+      BeginRecovery(link.message().c_str());
+    } else {
+      ops_->AbandonInFlight();
+    }
+  }
 
   // Server: adopt the first pending connection.
   if (listening_ && !have_socket_) {

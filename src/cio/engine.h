@@ -86,19 +86,21 @@ class SocketLayer {
   // True while bytes SendBytes accepted for `id` have not yet left the
   // queue; an orderly close waits for them.
   virtual bool SendsInFlight(cionet::SocketId /*id*/) { return false; }
+  // Drops everything queued across the boundary, for every socket: link
+  // recovery, and the answer to a Poll or Flush that returned kTampered
+  // (which keeps being returned until this runs). A no-op where nothing is
+  // queued; the sessions' resend windows replay what was dropped.
+  virtual void AbandonInFlight() {}
   // Fills `out` with the next chunk (capacity reused across calls); returns
   // the byte count — 0 when nothing is pending — kFailedPrecondition at
-  // orderly EOF, kLinkReset when the connection died underneath us.
+  // orderly EOF, kLinkReset when the connection died underneath us. Finding
+  // nothing costs nothing on the modeled clock, so a server may ask every
+  // connection every round; on dual-boundary it only drains what Poll's
+  // and Flush's doorbells already harvested.
   virtual ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
                                                ciobase::Buffer& out) = 0;
-  // --- Readiness (poll-loop support) ----------------------------------------
   // Pending not-yet-accepted connections on a listener.
   virtual ciobase::Result<size_t> AcceptPending(cionet::SocketId listener) = 0;
-  // True when ReceiveBytes would make progress (bytes, EOF, or a dead
-  // connection to report) — lets a server skip idle connections cheaply.
-  virtual ciobase::Result<bool> Readable(cionet::SocketId id) = 0;
-  // Free send-buffer space (backpressure signal).
-  virtual ciobase::Result<size_t> SendSpace(cionet::SocketId id) = 0;
   // Remote address of an established connection (the server's reattach key).
   virtual ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) = 0;
   // Drives the stack; surfaces the link status (kTimedOut = transport
@@ -223,8 +225,8 @@ class ConfidentialNode {
 
   void PumpBytes();
   // Hands the session's outbound bytes to the socket layer; with `flush`,
-  // pushes each accepted chunk at once.
-  void SendOutbound(bool flush);
+  // pushes each accepted chunk at once. Returns whether it flushed.
+  bool SendOutbound(bool flush);
   // Kills the live transport and its queue state; the session keeps its
   // sequence numbers and resend window for the replay.
   void DropTransport();

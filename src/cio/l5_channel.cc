@@ -59,6 +59,9 @@ void L5Channel::ChargeCrossing() {
 L5Channel::Crossing::Crossing(L5Channel* channel) : channel_(channel) {
   channel_->ChargeCrossing();
   channel_->compartments_->SwitchTo(channel_->io_);
+  // Cancels travel through the call gate like an argument: the I/O side
+  // applies them before it can post anything in this crossing.
+  channel_->IoApplyCancels();
 }
 
 L5Channel::Crossing::~Crossing() {
@@ -68,7 +71,7 @@ L5Channel::Crossing::~Crossing() {
 ciobase::Result<cionet::SocketId> L5Channel::Connect(cionet::Ipv4Address ip,
                                                      uint16_t port) {
   Crossing crossing(this);
-  return stack_->TcpConnect(ip, port);
+  return Opened(stack_->TcpConnect(ip, port));
 }
 
 ciobase::Result<cionet::SocketId> L5Channel::Listen(uint16_t port) {
@@ -79,7 +82,16 @@ ciobase::Result<cionet::SocketId> L5Channel::Listen(uint16_t port) {
 ciobase::Result<cionet::SocketId> L5Channel::Accept(
     cionet::SocketId listener) {
   Crossing crossing(this);
-  return stack_->TcpAccept(listener);
+  return Opened(stack_->TcpAccept(listener));
+}
+
+ciobase::Result<cionet::SocketId> L5Channel::Opened(
+    ciobase::Result<cionet::SocketId> socket) {
+  if (socket.ok()) {
+    io_sockets_[socket->value] = true;  // I/O side: fill credit from it
+    open_.insert(socket->value);        // app side: completions may name it
+  }
+  return socket;
 }
 
 ciobase::Result<cionet::TcpState> L5Channel::State(cionet::SocketId socket) {
@@ -115,24 +127,6 @@ ciobase::Status L5Channel::Abort(cionet::SocketId socket) {
 ciobase::Result<size_t> L5Channel::AcceptPending(cionet::SocketId listener) {
   Crossing crossing(this);
   return stack_->TcpAcceptPending(listener);
-}
-
-ciobase::Result<bool> L5Channel::Readable(cionet::SocketId socket) {
-  // Harvested-but-undelivered CQ events count as readable — once a recv
-  // completion lands, the bytes live in app-side events, not in the stack's
-  // socket buffer. Checking them first also avoids a boundary crossing for
-  // the common "data already here" case.
-  auto pending = events_.find(socket.value);
-  if (pending != events_.end() && !pending->second.empty()) {
-    return true;
-  }
-  Crossing crossing(this);
-  return stack_->TcpReadable(socket);
-}
-
-ciobase::Result<size_t> L5Channel::SendSpace(cionet::SocketId socket) {
-  Crossing crossing(this);
-  return stack_->TcpSendSpace(socket);
 }
 
 ciobase::Result<cionet::Ipv4Address> L5Channel::Peer(
@@ -222,32 +216,22 @@ ciobase::Result<size_t> L5Channel::SubmitStream(cionet::SocketId socket,
   return accepted;
 }
 
-void L5Channel::EnsureRecvArmed(cionet::SocketId socket) {
-  if (!queues_ready_) {
-    return;
-  }
-  uint32_t& armed = armed_[socket.value];
-  // Never let armed receives drain the pool: a quarter stays reserved for
-  // submissions, or a many-connection server deadlocks (all slots parked in
-  // idle recv entries, no slot left to send the bytes that would complete
-  // them). Sockets that lose the arming race use ReceiveOne's direct
-  // fallback instead.
-  const size_t send_reserve =
-      std::max<size_t>(queues_.recv_segments, queues_.pool_slots / 4);
-  while (armed < queues_.recv_entries) {
-    if (SqFull() || pool_.free_slots() < queues_.recv_segments + send_reserve) {
-      ++stats_.sq_backpressure;
+void L5Channel::ArmReceiveCredit() {
+  // A quarter of the pool, the rest always free for sends. The entries name
+  // no socket; they are armed while any connection is open and handed back
+  // when the last one is cancelled.
+  const uint32_t credit = queues_.pool_slots / 4;
+  while (!open_.empty() && recv_armed_ < credit && !SqFull()) {
+    auto slot = pool_.Acquire();
+    if (!slot) {
       return;
     }
     SqEntry sqe;
     sqe.op = kSqOpRecv;
-    sqe.socket = socket.value;
-    sqe.seg_count = static_cast<uint8_t>(queues_.recv_segments);
-    for (uint32_t i = 0; i < queues_.recv_segments; ++i) {
-      sqe.segs[i] = SqSegment{*pool_.Acquire(), queues_.slot_size};
-    }
+    sqe.seg_count = 1;
+    sqe.segs[0] = SqSegment{*slot, queues_.slot_size};
     SubmitSqe(sqe);
-    ++armed;
+    ++recv_armed_;
   }
 }
 
@@ -257,7 +241,11 @@ ciobase::Status L5Channel::Doorbell() {
   if (!queues_ready_) {
     return ciobase::FailedPrecondition("async queues unavailable");
   }
+  if (tampered_) {
+    return ciobase::Tampered("completion queue failed validation");
+  }
   CIO_PROF_SCOPE(costs_->profiler(), "l5.doorbell");
+  ArmReceiveCredit();
   ciobase::Status link = ciobase::OkStatus();
   {
     Crossing crossing(this);
@@ -276,10 +264,7 @@ ciobase::Status L5Channel::Doorbell() {
     sq_consumed_ = io_sq_head_;
   }
   ++stats_.doorbells;
-  ciobase::Status harvested = Harvest();
-  if (!harvested.ok()) {
-    return harvested;
-  }
+  CIO_RETURN_IF_ERROR(Harvest());
   return link;
 }
 
@@ -294,11 +279,10 @@ void L5Channel::IoConsumeSq() {
   while (io_sq_head_ != tail) {
     SqEntry sqe = DecodeSqe(SqeSpan(io_sq_head_));
     ++io_sq_head_;
-    IoSocketQueues& queues = io_queues_[sqe.socket];
     if (sqe.op == kSqOpSend) {
-      queues.sends.push_back(sqe);
+      io_sends_[sqe.socket].push_back(sqe);
     } else if (sqe.op == kSqOpRecv) {
-      queues.recvs.push_back(sqe);
+      io_recvs_.push_back(sqe);
     }
     // Unknown opcodes are dropped: the app is trusted, so these can only
     // come from host scribbling over the ring.
@@ -306,24 +290,44 @@ void L5Channel::IoConsumeSq() {
   ciobase::StoreLe32(ctrl() + kCtrlSqHead, io_sq_head_);
 }
 
-void L5Channel::IoService() {
-  DrainHeldCqes();
-  for (auto& [socket, queues] : io_queues_) {
-    IoServiceSends(socket, queues);
-    IoServiceRecvs(socket, queues);
+void L5Channel::IoApplyCancels() {
+  if (cancelled_.empty()) {
+    return;
   }
-  for (auto it = io_queues_.begin(); it != io_queues_.end();) {
-    if (it->second.sends.empty() && it->second.recvs.empty()) {
-      it = io_queues_.erase(it);
-    } else {
-      ++it;
+  IoConsumeSq();  // pull published-but-unconsumed entries so they purge
+  sq_consumed_ = io_sq_head_;
+  for (uint32_t socket : cancelled_) {
+    io_sends_.erase(socket);
+    io_sockets_.erase(socket);
+    for (auto it = held_cqes_.begin(); it != held_cqes_.end();) {
+      if (it->cqe.socket != socket) {
+        ++it;
+        continue;
+      }
+      if (it->cqe.op == kSqOpRecv) {
+        io_recvs_.push_back(it->sqe);  // never posted: back to the credit
+      }
+      it = held_cqes_.erase(it);
     }
+  }
+  cancelled_.clear();
+  if (io_sockets_.empty()) {
+    io_recvs_.clear();  // the app released its credit with its last socket
   }
 }
 
-void L5Channel::IoServiceSends(uint32_t socket, IoSocketQueues& queues) {
-  while (!queues.sends.empty()) {
-    const SqEntry& sqe = queues.sends.front();
+void L5Channel::IoService() {
+  DrainHeldCqes();
+  for (auto it = io_sends_.begin(); it != io_sends_.end();) {
+    IoServiceSends(it->first, it->second);
+    it = it->second.empty() ? io_sends_.erase(it) : std::next(it);
+  }
+  IoServiceRecvs();
+}
+
+void L5Channel::IoServiceSends(uint32_t socket, std::deque<SqEntry>& sends) {
+  while (!sends.empty()) {
+    const SqEntry& sqe = sends.front();
     size_t total = 0;
     for (size_t i = 0; i < sqe.seg_count; ++i) {
       total += sqe.segs[i].len;
@@ -332,11 +336,12 @@ void L5Channel::IoServiceSends(uint32_t socket, IoSocketQueues& queues) {
     cqe.op = kSqOpSend;
     cqe.user_data = sqe.user_data;
     cqe.epoch = ciobase::LoadLe32(ctrl() + kCtrlEpoch);
+    cqe.socket = socket;
     auto space = stack_->TcpSendSpace(cionet::SocketId{socket});
     if (!space.ok()) {
       cqe.code = kCqReset;  // socket gone underneath the queue
-      PostCqe(socket, cqe);
-      queues.sends.pop_front();
+      PostCqe(cqe, sqe);
+      sends.pop_front();
       continue;
     }
     if (*space < total) {
@@ -360,73 +365,79 @@ void L5Channel::IoServiceSends(uint32_t socket, IoSocketQueues& queues) {
       }
       cqe.result = static_cast<uint32_t>(total);
     }
-    PostCqe(socket, cqe);
-    queues.sends.pop_front();
+    PostCqe(cqe, sqe);
+    sends.pop_front();
   }
 }
 
-void L5Channel::IoServiceRecvs(uint32_t socket, IoSocketQueues& queues) {
-  while (!queues.recvs.empty()) {
-    const SqEntry& sqe = queues.recvs.front();
+void L5Channel::IoServiceRecvs() {
+  if (io_sockets_.empty()) {
+    return;
+  }
+  // Start one socket further on every doorbell, so a socket that always
+  // has bytes cannot take the whole credit round after round.
+  auto it = io_sockets_.lower_bound(io_first_socket_);
+  if (it == io_sockets_.end()) {
+    it = io_sockets_.begin();
+  }
+  io_first_socket_ = it->first + 1;
+  for (size_t n = io_sockets_.size(); n > 0 && !io_recvs_.empty(); --n) {
+    auto next = std::next(it) == io_sockets_.end() ? io_sockets_.begin()
+                                                   : std::next(it);
+    if (it->second) {
+      it->second = IoFillFrom(it->first);
+    }
+    it = next;
+  }
+}
+
+bool L5Channel::IoFillFrom(uint32_t socket) {
+  cionet::SocketId id{socket};
+  auto readable = stack_->TcpReadable(id);
+  if (readable.ok() && !*readable) {
+    return true;
+  }
+  while (!io_recvs_.empty()) {
+    const SqEntry sqe = io_recvs_.front();
+    io_recvs_.pop_front();
     CqEntry cqe;
     cqe.op = kSqOpRecv;
     cqe.user_data = sqe.user_data;
     cqe.epoch = ciobase::LoadLe32(ctrl() + kCtrlEpoch);
-    auto readable = stack_->TcpReadable(cionet::SocketId{socket});
+    cqe.socket = socket;
     if (!readable.ok()) {
-      cqe.code = kCqReset;
-      PostCqe(socket, cqe);
-      queues.recvs.pop_front();
-      continue;
+      cqe.code = kCqReset;  // socket gone underneath the channel
+      PostCqe(cqe, sqe);
+      return false;
     }
-    if (!*readable) {
-      break;
+    ciobase::MutableByteSpan span = pool_.SlotSpan(sqe.segs[0].slot);
+    size_t cap = std::min<size_t>(sqe.segs[0].len, span.size());
+    auto got = stack_->TcpReceive(id, span.first(cap));
+    if (!got.ok()) {
+      cqe.code =
+          got.status().code() == ciobase::StatusCode::kFailedPrecondition
+              ? kCqEof
+              : kCqReset;
+      PostCqe(cqe, sqe);
+      return false;
     }
-    size_t got_total = 0;
-    bool eof = false;
-    bool reset = false;
-    for (size_t i = 0; i < sqe.seg_count; ++i) {
-      ciobase::MutableByteSpan span = pool_.SlotSpan(sqe.segs[i].slot);
-      size_t cap = std::min<size_t>(sqe.segs[i].len, span.size());
-      auto got =
-          stack_->TcpReceive(cionet::SocketId{socket}, span.first(cap));
-      if (!got.ok()) {
-        if (got.status().code() == ciobase::StatusCode::kFailedPrecondition) {
-          eof = true;
-        } else {
-          reset = true;
-        }
-        break;
-      }
-      if (*got == 0) {
-        break;
-      }
-      cqe.seg_len[i] = static_cast<uint32_t>(*got);
-      cqe.seg_count = static_cast<uint8_t>(i + 1);
-      got_total += *got;
-      if (*got < cap) {
-        break;  // drained the socket
-      }
+    if (*got == 0) {
+      io_recvs_.push_front(sqe);
+      return true;
     }
-    if (got_total > 0) {
-      cqe.code = kCqOk;
-      cqe.result = static_cast<uint32_t>(got_total);
-      PostCqe(socket, cqe);
-      queues.recvs.pop_front();
-      continue;  // a pending EOF/reset completes the next armed entry
+    cqe.code = kCqOk;
+    cqe.seg_count = 1;
+    cqe.seg_len[0] = static_cast<uint32_t>(*got);
+    cqe.result = static_cast<uint32_t>(*got);
+    PostCqe(cqe, sqe);
+    if (*got < cap) {
+      return true;  // drained the socket
     }
-    if (eof || reset) {
-      cqe.code = eof ? kCqEof : kCqReset;
-      cqe.seg_count = 0;
-      PostCqe(socket, cqe);
-      queues.recvs.pop_front();
-      continue;
-    }
-    break;
   }
+  return true;
 }
 
-void L5Channel::PostCqe(uint32_t socket, const CqEntry& cqe) {
+void L5Channel::PostCqe(const CqEntry& cqe, const SqEntry& sqe) {
   uint32_t head = ciobase::LoadLe32(ctrl() + kCtrlCqHead);
   uint32_t used = io_cq_tail_ - head;
   if (used > queues_.cq_entries) {
@@ -441,7 +452,7 @@ void L5Channel::PostCqe(uint32_t socket, const CqEntry& cqe) {
   if (used >= queues_.cq_entries) {
     // CQ overflow backpressure: hold the completion io-side, in order, and
     // drain once the app reaps. Nothing is dropped.
-    held_cqes_.push_back(HeldCqe{socket, cqe});
+    held_cqes_.push_back(HeldCqe{cqe, sqe});
     return;
   }
   EncodeCqe(cqe, CqeSpan(io_cq_tail_));
@@ -470,6 +481,9 @@ void L5Channel::DrainHeldCqes() {
 // --- App-side reaping -------------------------------------------------------
 
 ciobase::Status L5Channel::Harvest() {
+  if (tampered_) {
+    return ciobase::Tampered("completion queue failed validation");
+  }
   CIO_PROF_SCOPE(costs_->profiler(), "l5.harvest");
   // Self-healing counters: re-assert the app-owned cells from private state
   // every reap. A host that scribbles CqHead or Epoch can wedge at most one
@@ -480,13 +494,18 @@ ciobase::Status L5Channel::Harvest() {
   uint32_t tail = ciobase::LoadLe32(ctrl() + kCtrlCqTail);
   if (tail - cq_head_ > queues_.cq_entries) {
     CIO_COV("l5.cq.runaway_tail", ciobase::StatusCode::kTampered);
+    tampered_ = true;
     return ciobase::Tampered("cq tail outside ring window");
   }
   while (cq_head_ != tail) {
     CqEntry cqe = DecodeCqe(CqeSpan(cq_head_));
     ++cq_head_;
     ciobase::StoreLe32(ctrl() + kCtrlCqHead, cq_head_);
-    CIO_RETURN_IF_ERROR(ConsumeCqe(cqe));
+    ciobase::Status consumed = ConsumeCqe(cqe);
+    if (!consumed.ok()) {
+      tampered_ = true;
+      return consumed;
+    }
   }
   return ciobase::OkStatus();
 }
@@ -530,6 +549,13 @@ ciobase::Status L5Channel::ConsumeCqe(const CqEntry& cqe) {
     CIO_COV("l5.cq.result_mismatch", ciobase::StatusCode::kTampered);
     return ciobase::Tampered("completion result/length mismatch");
   }
+  // A send completes on the socket it was submitted for; a receive may
+  // name any socket the app still has open — never one it cancelled.
+  if (entry.op == kSqOpSend ? cqe.socket != entry.socket
+                            : open_.count(cqe.socket) == 0) {
+    CIO_COV("l5.cq.socket_mismatch", ciobase::StatusCode::kTampered);
+    return ciobase::Tampered("completion names a socket that is not open");
+  }
   in_flight_.erase(it);
   ++stats_.cq_completions;
   CIO_COV("l5.cq.completion", ciobase::StatusCode::kOk);
@@ -542,11 +568,9 @@ ciobase::Status L5Channel::ConsumeCqe(const CqEntry& cqe) {
     }
     return ciobase::OkStatus();
   }
-  // Receive completion.
-  auto armed_it = armed_.find(entry.socket);
-  if (armed_it != armed_.end() && armed_it->second > 0) {
-    --armed_it->second;
-  }
+  // Receive completion: one credit entry used up; the next doorbell re-arms.
+  --recv_armed_;
+  std::deque<RecvEvent>& events = events_[cqe.socket];
   if (cqe.code == kCqOk && cqe.result > 0) {
     RecvEvent event;
     event.kind = RecvEvent::Kind::kData;
@@ -569,12 +593,12 @@ ciobase::Status L5Channel::ConsumeCqe(const CqEntry& cqe) {
       event.data.insert(event.data.end(), span.data(),
                         span.data() + cqe.seg_len[i]);
     }
-    events_[entry.socket].push_back(std::move(event));
+    events.push_back(std::move(event));
     stats_.bytes_received += cqe.result;
   } else if (cqe.code == kCqEof) {
-    events_[entry.socket].push_back(RecvEvent{RecvEvent::Kind::kEof, {}});
+    events.push_back(RecvEvent{RecvEvent::Kind::kEof, {}});
   } else if (cqe.code == kCqReset) {
-    events_[entry.socket].push_back(RecvEvent{RecvEvent::Kind::kReset, {}});
+    events.push_back(RecvEvent{RecvEvent::Kind::kReset, {}});
   }
   ReleaseEntrySlots(entry);
   return ciobase::OkStatus();
@@ -586,20 +610,6 @@ void L5Channel::ReleaseEntrySlots(const InFlight& entry) {
   }
 }
 
-std::optional<L5Channel::RecvEvent> L5Channel::NextEvent(
-    cionet::SocketId socket) {
-  auto it = events_.find(socket.value);
-  if (it == events_.end() || it->second.empty()) {
-    return std::nullopt;
-  }
-  RecvEvent event = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) {
-    events_.erase(it);
-  }
-  return event;
-}
-
 // --- Teardown paths ---------------------------------------------------------
 
 void L5Channel::CancelSocket(cionet::SocketId socket) {
@@ -608,34 +618,24 @@ void L5Channel::CancelSocket(cionet::SocketId socket) {
   }
   // Sweep already-posted completions to their owners first, so another
   // socket's data is never thrown away with this one's. Tampering found
-  // here resurfaces on the next doorbell.
+  // here sticks, so the next doorbell reports it.
   (void)Harvest();
   events_.erase(socket.value);
-  armed_.erase(socket.value);
-  bool pinned = false;
+  // With the last open socket goes the receive credit.
+  const bool last = open_.erase(socket.value) > 0 && open_.empty();
   for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    if (it->second.socket == socket.value) {
+    if (it->second.op == kSqOpSend ? it->second.socket == socket.value
+                                   : last) {
       ReleaseEntrySlots(it->second);
       it = in_flight_.erase(it);
-      pinned = true;
     } else {
       ++it;
     }
   }
-  if (!pinned) {
-    return;  // the I/O side only queues entries the app still tracks
+  if (last) {
+    recv_armed_ = 0;
   }
-  Crossing crossing(this);
-  IoConsumeSq();  // pull published-but-unconsumed entries so they purge
-  sq_consumed_ = io_sq_head_;
-  io_queues_.erase(socket.value);
-  for (auto it = held_cqes_.begin(); it != held_cqes_.end();) {
-    if (it->socket == socket.value) {
-      it = held_cqes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  cancelled_.push_back(socket.value);
 }
 
 void L5Channel::AbandonInFlight() {
@@ -645,7 +645,8 @@ void L5Channel::AbandonInFlight() {
   events_.clear();
   {
     Crossing crossing(this);
-    io_queues_.clear();
+    io_sends_.clear();
+    io_recvs_.clear();
     held_cqes_.clear();
     io_sq_head_ = 0;
     io_cq_tail_ = 0;
@@ -654,7 +655,8 @@ void L5Channel::AbandonInFlight() {
     ReleaseEntrySlots(entry);
   }
   in_flight_.clear();
-  armed_.clear();
+  recv_armed_ = 0;
+  tampered_ = false;
   sq_tail_ = 0;
   sq_consumed_ = 0;
   cq_head_ = 0;
@@ -675,65 +677,29 @@ ciobase::Result<size_t> L5Channel::ReceiveOne(cionet::SocketId socket,
   if (!queues_ready_) {
     return ciobase::FailedPrecondition("async queues unavailable");
   }
-  EnsureRecvArmed(socket);
-  ciobase::Status rung = Doorbell();
-  if (rung.code() == ciobase::StatusCode::kTampered) {
-    return rung;
+  auto it = events_.find(socket.value);
+  if (it == events_.end()) {
+    return static_cast<size_t>(0);
   }
-  while (out.size() < max_bytes) {
-    auto it = events_.find(socket.value);
-    if (it == events_.end() || it->second.empty()) {
-      break;
-    }
-    RecvEvent& front = it->second.front();
+  std::deque<RecvEvent>& events = it->second;
+  while (out.size() < max_bytes && !events.empty()) {
+    RecvEvent& front = events.front();
     if (front.kind != RecvEvent::Kind::kData) {
       if (!out.empty()) {
         break;  // deliver data first; EOF/reset surfaces next call
       }
-      RecvEvent::Kind kind = front.kind;
-      it->second.pop_front();
-      if (kind == RecvEvent::Kind::kEof) {
+      // Left queued: like the stack's own socket, a dead connection keeps
+      // reporting its end until the app cancels it.
+      if (front.kind == RecvEvent::Kind::kEof) {
         return ciobase::FailedPrecondition("connection closed by peer");
       }
       return ciobase::LinkReset("connection reset");
     }
     ciobase::Append(out, front.data);
-    it->second.pop_front();
+    events.pop_front();
   }
-  if (out.empty()) {
-    auto armed = armed_.find(socket.value);
-    if (armed == armed_.end() || armed->second == 0) {
-      // Pool-contention fallback: every registered slot is held by other
-      // sockets' armed receives, so waiting on an SQ entry would starve
-      // this socket. Receive directly inside one crossing, charged exactly
-      // like the pooled path — liveness over zero-copy. Safe for ordering:
-      // with no armed entries and no queued events, the socket's bytes can
-      // only be in the stack's own buffer.
-      out.resize(max_bytes);
-      size_t got = 0;
-      {
-        Crossing crossing(this);
-        auto direct =
-            stack_->TcpReceive(socket, ciobase::MutableByteSpan(out));
-        if (!direct.ok()) {
-          out.clear();
-          return direct.status();
-        }
-        got = *direct;
-      }
-      out.resize(got);
-      if (got > 0) {
-        if (receive_mode_ == L5ReceiveMode::kCopy) {
-          ++stats_.receive_copies;
-          costs_->ChargeCopy(got);
-        } else if (receive_mode_ == L5ReceiveMode::kRevoke) {
-          ++stats_.receive_revocations;
-          size_t page = costs_->constants().page_size;
-          costs_->ChargePageUnshare(std::max<size_t>(1, (got + page - 1) / page));
-        }
-        stats_.bytes_received += got;
-      }
-    }
+  if (events.empty()) {
+    events_.erase(it);
   }
   return out.size();
 }

@@ -19,13 +19,21 @@
 //    and the server reach this only through SocketLayer (SendBytes queues,
 //    Flush rings). Completions are reaped lazily from the CQ with no
 //    crossing at all.
+//  * One receive path: while any connection is open the channel keeps
+//    pool_slots / 4 one-slot receive entries armed as shared credit. They
+//    name no socket: inside each doorbell the I/O side fills them from
+//    whichever sockets opened through the channel have bytes (rotating the
+//    starting socket every doorbell) and writes the socket into the CQE.
+//    ReceiveOne only drains what doorbells already harvested, so receiving
+//    never crosses the boundary and never needs a readiness query.
 //  * Receive trust: everything the I/O side writes back — CQ indices,
-//    completion codes, lengths — is hostile-host-writable, so the reaper
-//    validates each entry against its private in-flight shadow (typed
-//    kTampered on mismatch) and then materializes payload bytes per the
-//    receive-mode policy: copy-before-parse (kCopy), ownership revocation
-//    (kRevoke), or sealed-in-place (kSealed — the AEAD layer above already
-//    rejects any byte the host flips, so no defensive copy is charged).
+//    completion codes, lengths, the socket word — is hostile-host-writable,
+//    so the reaper validates each entry against its private in-flight
+//    shadow and its private set of open sockets (typed kTampered on
+//    mismatch) and then materializes payload bytes per the receive-mode
+//    policy: copy-before-parse (kCopy), ownership revocation (kRevoke), or
+//    sealed-in-place (kSealed — the AEAD layer above already rejects any
+//    byte the host flips, so no defensive copy is charged).
 //
 // The boundary crossing itself is either an intra-TEE compartment switch
 // (the paper's choice) or a full TEE-to-TEE switch (the rejected dual-
@@ -36,7 +44,8 @@
 
 #include <deque>
 #include <map>
-#include <optional>
+#include <set>
+#include <vector>
 
 #include "src/base/clock.h"
 #include "src/cio/buffer_pool.h"
@@ -57,7 +66,8 @@ class L5Channel {
             L5ReceiveMode receive_mode, L5BoundaryKind boundary_kind,
             const L5QueueConfig& queues = L5QueueConfig{});
 
-  // Connection management: thin crossings into the I/O compartment.
+  // Connection management: thin crossings into the I/O compartment. A
+  // socket Connect or Accept returns is open until CancelSocket.
   ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
                                             uint16_t port);
   ciobase::Result<cionet::SocketId> Listen(uint16_t port);
@@ -68,12 +78,8 @@ class L5Channel {
   // connections through this before re-establishing.
   ciobase::Status Abort(cionet::SocketId socket);
 
-  // Readiness queries (each one crossing): the multi-tenant server's poll
-  // loop uses these to skip idle connections without paying a full
-  // receive round trip per connection per round.
+  // Listener backlog and peer address (each one crossing).
   ciobase::Result<size_t> AcceptPending(cionet::SocketId listener);
-  ciobase::Result<bool> Readable(cionet::SocketId socket);
-  ciobase::Result<size_t> SendSpace(cionet::SocketId socket);
   ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId socket);
 
   // --- Async datapath --------------------------------------------------------
@@ -88,30 +94,25 @@ class L5Channel {
   ciobase::Result<size_t> SubmitStream(cionet::SocketId socket,
                                        ciobase::ByteSpan data);
 
-  // Keeps `recv_entries` receive SQEs armed for the socket (slots
-  // permitting) so inbound bytes land in registered slots with no
-  // per-receive round trip.
-  void EnsureRecvArmed(cionet::SocketId socket);
-
-  // THE one crossing of the async path: publishes queued SQEs, drives the
-  // stack, services sends/receives into registered slots, posts CQEs, and
-  // then reaps + validates completions app-side. Returns the link status
-  // (kLinkReset / kTimedOut) or kTampered when a CQ entry fails validation.
+  // THE one crossing of the async path: tops up the receive credit,
+  // publishes queued SQEs, drives the stack, services sends and fills
+  // receive credit into registered slots, posts CQEs, and then reaps +
+  // validates completions app-side. Returns the link status (kLinkReset /
+  // kTimedOut) or kTampered when a CQ entry fails validation. A forged
+  // entry may stand where a real completion was (bytes a stream needs, a
+  // credit entry), so kTampered sticks: every later doorbell returns it
+  // without crossing until AbandonInFlight resets the rings, and a caller
+  // that drops one report meets it again at the next.
   ciobase::Status Doorbell();
 
-  // A validated receive completion, materialized per the receive mode.
-  struct RecvEvent {
-    enum class Kind { kData, kEof, kReset };
-    Kind kind = Kind::kData;
-    ciobase::Buffer data;
-  };
-  std::optional<RecvEvent> NextEvent(cionet::SocketId socket);
-
-  // Tears down one socket's queue state (armed receives, queued sends,
-  // undelivered events) without disturbing other sockets — the socket
-  // layer's Close/Abort call this. Slots return to the pool; delivery is
-  // owned by the session resend window. Crosses the boundary only when the
-  // socket still pins submission entries.
+  // Tears down one socket's queue state (queued sends, undelivered
+  // receives) without disturbing other sockets — the socket layer's
+  // Close/Abort call this. Slots return to the pool at once; delivery is
+  // owned by the session resend window. Never crosses: the I/O side learns
+  // of the cancel at the start of the next crossing, before it can post
+  // anything, and hands any completion it still holds for the socket back
+  // to the receive credit. Cancelling the last open socket releases the
+  // credit itself.
   void CancelSocket(cionet::SocketId socket);
 
   // True while this socket still has submitted-but-unreaped send entries —
@@ -120,17 +121,18 @@ class L5Channel {
 
   // Full ring reset for recovery: bumps the epoch (completions from the old
   // generation reap as stale, not as tampering), drops every in-flight
-  // entry and returns its slots. The caller replays from the session resend
-  // window once the channel is re-established.
+  // entry and harvested receive, returns the slots and clears a kTampered
+  // verdict. The caller replays from the session resend window once the
+  // channel is re-established.
   void AbandonInFlight();
 
-  // --- One-shot receive -----------------------------------------------------
+  // --- Receive ---------------------------------------------------------------
 
-  // Arm, doorbell, and drain this socket's receive events into `out`
-  // (cleared; capacity reused). Status conventions follow the legacy
-  // receive path: Ok(0) = nothing available, kFailedPrecondition = orderly
-  // EOF, kLinkReset = the connection died underneath the app. `max_bytes`
-  // is a hint — slot granularity may return more.
+  // Drains bytes earlier doorbells harvested for this socket into `out`
+  // (cleared; capacity reused). No crossing, no doorbell, no cost. Ok(0) =
+  // nothing harvested, kFailedPrecondition = orderly EOF, kLinkReset = the
+  // connection died underneath the app (both repeat until the socket is
+  // cancelled). `max_bytes` is a hint — slot granularity may return more.
   ciobase::Result<size_t> ReceiveOne(cionet::SocketId socket,
                                      size_t max_bytes, ciobase::Buffer& out);
 
@@ -158,6 +160,12 @@ class L5Channel {
   uint32_t epoch() const { return epoch_; }
   size_t free_slots() const { return pool_.free_slots(); }
   size_t in_flight_entries() const { return in_flight_.size(); }
+  // Armed receive entries (one slot each); zero while no socket is open.
+  size_t receive_credit() const { return recv_armed_; }
+  // Credit entries the I/O side holds unfilled. On an idle channel this
+  // equals receive_credit(); an entry whose completion was lost is counted
+  // in receive_credit() alone.
+  size_t io_receive_credit_for_test() const { return io_recvs_.size(); }
 
  private:
   // RAII crossing: enter the I/O compartment, return to the app.
@@ -170,6 +178,13 @@ class L5Channel {
     L5Channel* channel_;
   };
 
+  // A validated receive completion, materialized per the receive mode.
+  struct RecvEvent {
+    enum class Kind { kData, kEof, kReset };
+    Kind kind = Kind::kData;
+    ciobase::Buffer data;
+  };
+
   struct InFlight {
     uint8_t op = 0;
     uint8_t seg_count = 0;
@@ -177,16 +192,17 @@ class L5Channel {
     SqSegment segs[kSqMaxSegments];
   };
   struct HeldCqe {
-    uint32_t socket = 0;
     CqEntry cqe;
-  };
-  struct IoSocketQueues {
-    std::deque<SqEntry> sends;
-    std::deque<SqEntry> recvs;
+    SqEntry sqe;  // what it completes: a receive goes back to the credit
   };
 
   void ChargeCrossing();
   void InitQueues();
+  // Records a socket Connect/Accept opened, on both sides of the boundary.
+  ciobase::Result<cionet::SocketId> Opened(
+      ciobase::Result<cionet::SocketId> socket);
+  // Keeps pool_slots / 4 receive entries armed while any socket is open.
+  void ArmReceiveCredit();
 
   uint8_t* ctrl() { return region_.data(); }
   ciobase::MutableByteSpan SqeSpan(uint32_t index);
@@ -201,11 +217,15 @@ class L5Channel {
   ciobase::Status ConsumeCqe(const CqEntry& cqe);
 
   // I/O side (inside a crossing): consume SQEs, service sockets, post CQEs.
+  void IoApplyCancels();
   void IoConsumeSq();
   void IoService();
-  void IoServiceSends(uint32_t socket, IoSocketQueues& queues);
-  void IoServiceRecvs(uint32_t socket, IoSocketQueues& queues);
-  void PostCqe(uint32_t socket, const CqEntry& cqe);
+  void IoServiceSends(uint32_t socket, std::deque<SqEntry>& sends);
+  void IoServiceRecvs();
+  // Fills receive credit from one socket; false once its EOF or reset is
+  // posted (nothing more will come from it).
+  bool IoFillFrom(uint32_t socket);
+  void PostCqe(const CqEntry& cqe, const SqEntry& sqe);
   void DrainHeldCqes();
 
   ciotee::CompartmentManager* compartments_;
@@ -229,13 +249,20 @@ class L5Channel {
   uint32_t epoch_ = 0;
   uint64_t next_user_data_ = 1;
   std::map<uint64_t, InFlight> in_flight_;
-  std::map<uint32_t, uint32_t> armed_;  // socket -> armed recv entries
+  uint32_t recv_armed_ = 0;  // in-flight receive entries (the credit)
+  std::set<uint32_t> open_;  // sockets a completion may name
+  bool tampered_ = false;    // a CQ entry failed validation; needs a reset
+  std::vector<uint32_t> cancelled_;  // handed over at the next crossing
   std::map<uint32_t, std::deque<RecvEvent>> events_;
 
   // I/O-compartment-private state.
   uint32_t io_sq_head_ = 0;
   uint32_t io_cq_tail_ = 0;
-  std::map<uint32_t, IoSocketQueues> io_queues_;
+  std::map<uint32_t, std::deque<SqEntry>> io_sends_;
+  std::deque<SqEntry> io_recvs_;  // the shared receive credit
+  // Open sockets -> still delivering (false once EOF/reset is posted).
+  std::map<uint32_t, bool> io_sockets_;
+  uint32_t io_first_socket_ = 0;   // rotates every doorbell
   std::deque<HeldCqe> held_cqes_;  // CQ-full backpressure, drained in order
 };
 

@@ -8,8 +8,7 @@ bool L5QueueConfig::Valid() const {
   return ciobase::IsPowerOfTwo(sq_entries) && sq_entries >= 2 &&
          ciobase::IsPowerOfTwo(cq_entries) && cq_entries >= 2 &&
          pool_slots >= kSqMaxSegments && pool_slots <= (1u << 15) &&
-         slot_size >= 256 && recv_entries >= 1 &&
-         recv_segments >= 1 && recv_segments <= kSqMaxSegments;
+         slot_size >= 256;
 }
 
 void EncodeSqe(const SqEntry& entry, ciobase::MutableByteSpan out) {
@@ -47,7 +46,7 @@ void EncodeCqe(const CqEntry& entry, ciobase::MutableByteSpan out) {
   ciobase::StoreLe32(p + 4, entry.result);
   ciobase::StoreLe64(p + 8, entry.user_data);
   ciobase::StoreLe32(p + 16, entry.epoch);
-  ciobase::StoreLe32(p + 20, 0);
+  ciobase::StoreLe32(p + 20, entry.socket);
   for (size_t i = 0; i < kSqMaxSegments; ++i) {
     ciobase::StoreLe32(p + 24 + i * 4, entry.seg_len[i]);
   }
@@ -62,6 +61,7 @@ CqEntry DecodeCqe(ciobase::ByteSpan in) {
   entry.result = ciobase::LoadLe32(p + 4);
   entry.user_data = ciobase::LoadLe64(p + 8);
   entry.epoch = ciobase::LoadLe32(p + 16);
+  entry.socket = ciobase::LoadLe32(p + 20);
   for (size_t i = 0; i < kSqMaxSegments; ++i) {
     entry.seg_len[i] = ciobase::LoadLe32(p + 24 + i * 4);
   }

@@ -8,10 +8,14 @@
 //   SQ: the app encodes submission entries (send / arm-receive), each
 //       naming up to kSqMaxSegments scatter-gather segments of registered
 //       pool slots, and publishes a tail counter. One doorbell crossing
-//       per batch consumes everything.
+//       per batch consumes everything. Send entries name their socket;
+//       receive entries name none — they are shared receive credit the
+//       I/O side fills from whichever socket has bytes.
 //   CQ: the I/O side posts completion entries; the app reaps them lazily,
 //       WITHOUT crossing — completions are validated app-side against the
-//       shadow of what was actually submitted.
+//       shadow of what was actually submitted. Every completion carries a
+//       socket word (byte 20): the socket a receive was filled from, or
+//       the socket a send went out on.
 //
 // Trust boundary: the app trusts nothing it reads back from the region.
 // Every CQ field (user_data, epoch, result, per-segment lengths, status
@@ -74,6 +78,7 @@ struct CqEntry {
   uint32_t result = 0;  // total bytes moved; must equal the segment sum
   uint64_t user_data = 0;
   uint32_t epoch = 0;
+  uint32_t socket = 0;  // the send's own socket, or an open one for a receive
   uint32_t seg_len[kSqMaxSegments] = {};
 };
 
@@ -82,11 +87,10 @@ struct CqEntry {
 struct L5QueueConfig {
   uint32_t sq_entries = 64;    // power of two
   uint32_t cq_entries = 64;    // power of two
+  // A quarter of the pool is the channel's shared receive credit (one slot
+  // per receive entry); the rest always stays free for sends.
   uint32_t pool_slots = 160;
   uint32_t slot_size = 4096;
-  // Receive credit the engine keeps posted per socket (entries x segments).
-  uint32_t recv_entries = 4;
-  uint32_t recv_segments = 4;
 
   bool Valid() const;
   size_t SqOffset() const { return kSqcqControlBytes; }

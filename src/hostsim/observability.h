@@ -18,7 +18,6 @@
 #define SRC_HOSTSIM_OBSERVABILITY_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -46,32 +45,6 @@ struct ObservedEvent {
   ObsCategory category;
   uint64_t value;     // length, call id, etc. (whatever the host saw)
   std::string note;
-};
-
-// Named monotonic counters for component lifecycle accounting (e.g. the
-// multi-tenant server's accepted / rejected-at-admission / active /
-// recovered connections). Unlike ObservedEvent records these are guest-side
-// operational telemetry, not host-visible leakage — they ride on the
-// observability layer so every surface that already scrapes it (benchmarks,
-// the campaign reports) can pick them up without new plumbing.
-class CounterSet {
- public:
-  void Add(std::string_view name, uint64_t delta = 1) {
-    counters_[std::string(name)] += delta;
-  }
-  void Set(std::string_view name, uint64_t value) {
-    counters_[std::string(name)] = value;
-  }
-  uint64_t Get(std::string_view name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-  const std::map<std::string, uint64_t, std::less<>>& all() const {
-    return counters_;
-  }
-
- private:
-  std::map<std::string, uint64_t, std::less<>> counters_;
 };
 
 class ObservabilityLog {
@@ -132,16 +105,10 @@ class ObservabilityLog {
     bits_ = 0;
   }
 
-  // Operational lifecycle counters (see CounterSet above). Not part of the
-  // leakage score; Clear() leaves them alone.
-  CounterSet& counters() { return counters_set_; }
-  const CounterSet& counters() const { return counters_set_; }
-
  private:
   std::vector<ObservedEvent> events_;
   std::map<ObsCategory, size_t> counts_;
   uint64_t bits_ = 0;
-  CounterSet counters_set_;
 };
 
 }  // namespace ciohost

@@ -59,7 +59,6 @@ void ConfidentialServer::AcceptPending() {
   if (!pending.ok()) {
     return;
   }
-  ciohost::CounterSet& counters = node_->observability().counters();
   for (size_t i = 0; i < *pending; ++i) {
     auto accepted = sockets_->Accept(listener_);
     if (!accepted.ok()) {
@@ -83,7 +82,6 @@ void ConfidentialServer::AcceptPending() {
           it->second.state != ConnState::kClosed) {
         ParkConnection(it->second);
         ++stats_.closed;
-        counters.Add("server.closed");
         connections_.erase(it);
         break;
       }
@@ -95,7 +93,6 @@ void ConfidentialServer::AcceptPending() {
     if (connections_.size() >= config_.max_connections) {
       (void)sockets_->Abort(socket);
       ++stats_.rejected_admission;
-      counters.Add("server.rejected_admission");
       continue;
     }
 
@@ -116,7 +113,6 @@ void ConfidentialServer::AcceptPending() {
       conn.reattached = true;
       parked_.erase(parked);
       ++stats_.recovered;
-      counters.Add("server.recovered");
     } else {
       conn.id = next_conn_id_++;
       const cio::StackConfig& node_config = node_->config();
@@ -132,7 +128,6 @@ void ConfidentialServer::AcceptPending() {
     conn.session->Start(ciotls::TlsRole::kServer,
                         node_->config().seed + 1 + conn.id);
     ++stats_.accepted;
-    counters.Add("server.accepted");
     connections_.emplace(conn.id, std::move(conn));
   }
 }
@@ -183,7 +178,6 @@ bool ConfidentialServer::PumpConnection(Connection& conn) {
         // Hostile framing inside the protected stream: terminal for this
         // connection, and nothing worth parking.
         ++stats_.tampered;
-        node_->observability().counters().Add("server.tampered");
         (void)sockets_->Abort(conn.socket);
         conn.session.reset();
         conn.state = ConnState::kClosed;
@@ -277,10 +271,8 @@ void ConfidentialServer::PumpAdmission(Connection& conn) {
       continue;
     }
     ciobase::Status verdict = VerifyReport(conn, ctrl->body);
-    ciohost::CounterSet& counters = node_->observability().counters();
     if (verdict.ok()) {
       ++stats_.admitted;
-      counters.Add("server.admitted");
       (void)conn.session->SendControl(cio::CtrlType::kAdmitted, {});
       Admit(conn);
     } else {
@@ -289,7 +281,6 @@ void ConfidentialServer::PumpAdmission(Connection& conn) {
       // then the socket drains shut. Nothing is parked — an unadmitted
       // session has no state worth recovering.
       ++stats_.rejected_unauthenticated;
-      counters.Add("server.rejected_unauthenticated");
       (void)conn.session->SendControl(
           cio::CtrlType::kDenied,
           ciobase::BufferFromString(verdict.message()));
@@ -353,20 +344,17 @@ void ConfidentialServer::FlushOutbound() {
     }
   }
   if (submitted) {
-    // A tampered completion here is surfaced again by the next receive
-    // poll, which parks the affected connection; the flush itself only
-    // needs to push the batch.
+    // The flush only needs to push the batch: a forged completion it finds
+    // is reported again by the next round's Poll, which recovers from it.
     (void)sockets_->Flush();
   }
 }
 
 void ConfidentialServer::Reap() {
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.reap");
-  ciohost::CounterSet& counters = node_->observability().counters();
   for (auto it = connections_.begin(); it != connections_.end();) {
     if (it->second.state == ConnState::kClosed) {
       ++stats_.closed;
-      counters.Add("server.closed");
       it = connections_.erase(it);
     } else {
       ++it;
@@ -378,17 +366,11 @@ void ConfidentialServer::Reap() {
       // The client never came back: its unacknowledged messages are gone
       // for good (they would have been counted lost by the peer anyway).
       ++stats_.expired_parked;
-      counters.Add("server.expired_parked");
       it = parked_.erase(it);
     } else {
       ++it;
     }
   }
-}
-
-void ConfidentialServer::UpdateGauges() {
-  node_->observability().counters().Set("server.active",
-                                        connections_.size());
 }
 
 void ConfidentialServer::Poll() {
@@ -397,10 +379,19 @@ void ConfidentialServer::Poll() {
   }
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.round");
   ciobase::Status link = sockets_->Poll();
-  if (!link.ok() && link.code() == ciobase::StatusCode::kTimedOut) {
-    // The transport watchdog exhausted its reset budget: the link under
-    // EVERY connection is dead for good. Park them all; if the host never
-    // relents the parked sessions expire on their own.
+  if (link.code() == ciobase::StatusCode::kTampered) {
+    // A forged completion, found by this doorbell or reported again from
+    // an earlier one. The entry it stands in for may have carried any
+    // connection's bytes or receive credit, so reset the rings and park
+    // every connection below: each client reattaches and replays its
+    // resend window.
+    sockets_->AbandonInFlight();
+  }
+  if (link.code() == ciobase::StatusCode::kTimedOut ||
+      link.code() == ciobase::StatusCode::kTampered) {
+    // kTimedOut: the transport watchdog exhausted its reset budget, so the
+    // link under EVERY connection is dead for good. Park them all; if the
+    // host never relents the parked sessions expire on their own.
     for (auto& [id, conn] : connections_) {
       if (conn.state != ConnState::kClosed) {
         ParkConnection(conn);
@@ -427,22 +418,14 @@ void ConfidentialServer::Poll() {
         ParkConnection(conn);
         continue;
       }
-      // Readiness gate: idle connections cost one query, not a receive
-      // round trip across the boundary.
-      auto readable = sockets_->Readable(conn.socket);
-      if (!readable.ok()) {
-        ParkConnection(conn);
-        continue;
-      }
-      if (*readable) {
-        (void)PumpConnection(conn);
-      }
+      // Every live connection: a receive that finds nothing costs nothing
+      // (on dual-boundary it drains what this round's doorbell harvested).
+      (void)PumpConnection(conn);
     }
   }
 
   FlushOutbound();
   Reap();
-  UpdateGauges();
 }
 
 ciobase::Result<Incoming> ConfidentialServer::Receive() {
@@ -559,7 +542,6 @@ ciobase::Result<ciobase::Buffer> ConfidentialServer::MigrateSession(
   // the sealed export is the only continuation.
   conn.state = ConnState::kMigrating;
   ++stats_.migrated_out;
-  node_->observability().counters().Add("server.migrated_out");
   return sealed;
 }
 
@@ -589,7 +571,6 @@ ciobase::Status ConfidentialServer::ImportSession(ciobase::ByteSpan sealed,
   parked_[peer] =
       ParkedSession{std::move(*session), clock_->now_ns(), next_conn_id_++};
   ++stats_.migrated_in;
-  node_->observability().counters().Add("server.migrated_in");
   return ciobase::OkStatus();
 }
 

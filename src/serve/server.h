@@ -12,10 +12,10 @@
 //    recovery state is the PR-2 machinery, shared with the engine through
 //    cio::Session — one implementation, two owners.
 //
-//  * Readiness-driven poll loop. One Poll() drives the transport once, then
-//    visits only connections the SocketLayer reports readable (plus anyone
-//    with queued output). Idle connections cost one readiness query, not a
-//    full receive round trip across the L5 boundary.
+//  * One poll loop. One Poll() drives the transport once, then pumps every
+//    live connection. There is no readiness query: a receive that finds
+//    nothing costs nothing, and on dual-boundary it only drains bytes the
+//    round's doorbell already harvested into the L5 completion queue.
 //
 //  * Fair scheduling. Outbound transport capacity is shared by deficit
 //    round-robin: each established connection accrues a byte quantum per
@@ -34,7 +34,8 @@
 //    backoff); the fresh accept from the same address reattaches the parked
 //    Session, TLS re-establishes, both sides replay their windows, and the
 //    sequence numbers dedup — exactly-once delivery across the fault, per
-//    connection.
+//    connection. A forged L5 completion is handled the same way for every
+//    connection at once: the queue rings are reset and all are parked.
 //
 // Single-threaded and poll-driven like everything else in the simulation:
 // call Poll() every simulation round.
@@ -141,7 +142,7 @@ class ConfidentialServer {
   ciobase::Status Start();
 
   // One scheduling round: drive the transport, accept (or refuse) pending
-  // connections, pump every readable connection's Session, flush outbound
+  // connections, pump every live connection's Session, flush outbound
   // by deficit round-robin, reap the dead, expire parked sessions.
   void Poll();
 
@@ -241,7 +242,7 @@ class ConfidentialServer {
   // drop the connection from the table.
   void ParkConnection(Connection& conn);
   // Orderly teardown: FIN, then release every L5 resource (pool slots,
-  // armed recv entries, held completions) the socket still pins.
+  // queued sends, harvested receives) the socket still pins.
   void CloseAndRelease(Connection& conn);
   // Moves inbound bytes into and outbound bytes out of the Session, within
   // this round's budgets. Returns false when the connection died.
@@ -256,7 +257,6 @@ class ConfidentialServer {
   void PumpAdmission(Connection& conn);
   void FlushOutbound();  // DRR pass over connections with queued output
   void Reap();           // drop kClosed connections, expire parked sessions
-  void UpdateGauges();   // active-connection gauge in the counter set
 
   cio::ConfidentialNode* node_;
   cio::SocketLayer* sockets_;

@@ -189,7 +189,8 @@ TEST(DualBoundary, SendsInOneRoundShareTheNextPollsDoorbell) {
     ASSERT_TRUE(pair.Establish());
     const L5Channel* l5 = pair.client->l5();
     ASSERT_NE(l5, nullptr);
-    // What an idle Poll rings: the batch doorbell plus the receive drain.
+    // What an idle Poll rings: the batch doorbell plus the second one that
+    // harvests what the trailing device poll delivered.
     uint64_t doorbells = l5->stats().doorbells;
     pair.client->Poll();
     const uint64_t idle_poll = l5->stats().doorbells - doorbells;

@@ -1,12 +1,16 @@
 // Tests for the L5 single-distrust channel and its async SQ/CQ datapath:
 // trusted-component-allocates semantics, zero-copy submission through the
 // registered slot pool, copy vs revoke vs sealed receive accounting at
-// harvest time, boundary-kind cost accounting, and the grant-matrix
-// direction (app may touch I/O memory, never vice versa).
+// harvest time, receives that drain harvested bytes without crossing,
+// boundary-kind cost accounting, and the grant-matrix direction (app may
+// touch I/O memory, never vice versa).
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/cio/l5_channel.h"
@@ -34,9 +38,11 @@ struct L5World {
   ciotee::CompartmentId app = compartments.Create("app", 1 << 20);
   ciotee::CompartmentId io = compartments.Create("io", 1 << 20);
   std::unique_ptr<L5Channel> l5;
+  std::optional<cionet::SocketId> listening;
 
   explicit L5World(L5ReceiveMode mode = L5ReceiveMode::kCopy,
-                   L5BoundaryKind kind = L5BoundaryKind::kCompartment) {
+                   L5BoundaryKind kind = L5BoundaryKind::kCompartment,
+                   const L5QueueConfig& queues = L5QueueConfig{}) {
     cionet::NetStack::Config config_io;
     config_io.ip = cionet::Ipv4Address::FromOctets(10, 0, 0, 1);
     cionet::NetStack::Config config_peer;
@@ -48,14 +54,18 @@ struct L5World {
                                                     config_peer);
     compartments.GrantAccess(app, io);
     l5 = std::make_unique<L5Channel>(&compartments, app, io,
-                                     io_stack.get(), &costs, mode, kind);
+                                     io_stack.get(), &costs, mode, kind,
+                                     queues);
   }
 
   // Establishes l5-listener <- peer-connect; returns (l5 server socket,
-  // peer client socket).
+  // peer client socket). Listens on the first call only.
   std::pair<cionet::SocketId, cionet::SocketId> Establish() {
-    auto listener = l5->Listen(80);
-    EXPECT_TRUE(listener.ok());
+    if (!listening) {
+      auto listener = l5->Listen(80);
+      EXPECT_TRUE(listener.ok());
+      listening = *listener;
+    }
     auto client = peer_stack->TcpConnect(
         cionet::Ipv4Address::FromOctets(10, 0, 0, 1), 80);
     EXPECT_TRUE(client.ok());
@@ -64,7 +74,7 @@ struct L5World {
       peer_stack->Poll();
       (void)l5->Poll();
       clock.Advance(5'000);
-      auto accepted = l5->Accept(*listener);
+      auto accepted = l5->Accept(*listening);
       if (accepted.ok()) {
         server = *accepted;
         break;
@@ -91,7 +101,7 @@ struct L5World {
     return accepted;
   }
 
-  // Test sugar over the submit-and-reap ReceiveOne entry point.
+  // Test sugar over ReceiveOne, which drains what doorbells harvested.
   ciobase::Result<Buffer> Receive(cionet::SocketId socket, size_t max_bytes) {
     Buffer out;
     auto got = l5->ReceiveOne(socket, max_bytes, out);
@@ -135,12 +145,16 @@ TEST(L5Channel, CopyReceiveChargesCopyAtHarvest) {
   auto [server, client] = world.Establish();
   ASSERT_TRUE(
       world.peer_stack->TcpSend(client, BufferFromString("payload")).ok());
-  world.Pump();
+  // The doorbells that harvest the bytes pay for the copy; draining them
+  // afterwards is free.
   uint64_t copies_before = world.costs.counter("bytes_copied");
+  world.Pump();
+  uint64_t copies_harvested = world.costs.counter("bytes_copied");
   auto received = world.Receive(server, 64);
   ASSERT_TRUE(received.ok());
   EXPECT_EQ(ciobase::StringFromBytes(*received), "payload");
   EXPECT_GT(world.costs.counter("bytes_copied"), copies_before);
+  EXPECT_EQ(world.costs.counter("bytes_copied"), copies_harvested);
   EXPECT_EQ(world.l5->stats().receive_copies, 1u);
 }
 
@@ -190,6 +204,7 @@ TEST(L5Channel, CrossingsAreCountedAndCharged) {
   (void)client;
   uint64_t before = world.l5->stats().crossings;
   (void)world.Send(server, BufferFromString("x"));
+  ASSERT_TRUE(world.l5->Doorbell().ok());
   (void)world.Receive(server, 16);
   (void)world.l5->Poll();
   EXPECT_GE(world.l5->stats().crossings, before + 3);
@@ -261,9 +276,66 @@ TEST(L5Channel, ManyMessagesDoNotExhaustHeaps) {
     ASSERT_TRUE(received.ok()) << "iteration " << i << ": "
                                << received.status().ToString();
   }
-  EXPECT_EQ(world.l5->free_slots() + world.l5->in_flight_entries() *
-                                         world.l5->queue_config().recv_segments,
+  // Only the receive credit (one slot per entry) is still out of the pool.
+  EXPECT_EQ(world.l5->in_flight_entries(), world.l5->receive_credit());
+  EXPECT_EQ(world.l5->free_slots() + world.l5->receive_credit(),
             world.l5->queue_config().pool_slots);
+}
+
+TEST(L5Channel, ReceiveAfterDoorbellDoesNotCross) {
+  L5World world;
+  auto [server, client] = world.Establish();
+  ASSERT_TRUE(
+      world.peer_stack->TcpSend(client, BufferFromString("harvested")).ok());
+  world.Pump();
+  uint64_t crossings = world.l5->stats().crossings;
+  uint64_t doorbells = world.l5->stats().doorbells;
+  uint64_t now = world.clock.now_ns();
+  auto received = world.Receive(server, 64);
+  ASSERT_TRUE(received.ok());
+  EXPECT_EQ(ciobase::StringFromBytes(*received), "harvested");
+  // Nothing left: asking again is just as free.
+  auto empty = world.Receive(server, 64);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  EXPECT_EQ(world.l5->stats().crossings, crossings);
+  EXPECT_EQ(world.l5->stats().doorbells, doorbells);
+  EXPECT_EQ(world.clock.now_ns(), now);
+}
+
+TEST(L5Channel, SharedCreditServesMoreSocketsThanThePoolHasSlots) {
+  // 24 connections over a 16-slot pool: four receive entries of shared
+  // credit serve all of them, and no receive ever crosses the boundary.
+  L5QueueConfig small;
+  small.pool_slots = 16;
+  L5World world(L5ReceiveMode::kCopy, L5BoundaryKind::kCompartment, small);
+  constexpr int kSockets = 24;
+  std::vector<std::pair<cionet::SocketId, cionet::SocketId>> links;
+  for (int i = 0; i < kSockets; ++i) {
+    links.push_back(world.Establish());
+  }
+  std::vector<std::string> expected(kSockets);
+  std::vector<std::string> received(kSockets);
+  for (int i = 0; i < kSockets; ++i) {
+    expected[i] = "message for socket " + std::to_string(i);
+    ASSERT_TRUE(world.peer_stack
+                    ->TcpSend(links[i].second,
+                              BufferFromString(expected[i]))
+                    .ok());
+  }
+  uint64_t receive_crossings = 0;
+  for (int round = 0; round < 200 && received != expected; ++round) {
+    world.Pump(1);
+    uint64_t before = world.l5->stats().crossings;
+    for (int i = 0; i < kSockets; ++i) {
+      auto got = world.Receive(links[i].first, 4096);
+      ASSERT_TRUE(got.ok()) << "socket " << i;
+      received[i] += ciobase::StringFromBytes(*got);
+    }
+    receive_crossings += world.l5->stats().crossings - before;
+  }
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(receive_crossings, 0u);
 }
 
 }  // namespace

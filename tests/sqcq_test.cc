@@ -95,9 +95,6 @@ TEST(Sqcq, QueueConfigValidation) {
   bad = config;
   bad.slot_size = 128;
   EXPECT_FALSE(bad.Valid());
-  bad = config;
-  bad.recv_segments = kSqMaxSegments + 1;
-  EXPECT_FALSE(bad.Valid());
 
   // The region layout is consistent: control, SQ, CQ, pool, in that order.
   EXPECT_EQ(config.SqOffset(), kSqcqControlBytes);
@@ -199,7 +196,70 @@ struct SqcqWorld {
                                   kCqeSize));
     ciobase::StoreLe32(region.data() + kCtrlCqTail, tail + 1);
   }
+
+  // A CQ entry that decodes to nothing the app submitted, stamped with the
+  // current epoch so it is judged rather than dropped as stale.
+  CqEntry Garbage() {
+    uint8_t raw[kCqeSize];
+    std::memset(raw, 0xA5, sizeof raw);
+    CqEntry garbage = DecodeCqe(ciobase::ByteSpan(raw, sizeof raw));
+    garbage.epoch = l5->epoch();
+    return garbage;
+  }
+
+  // The peer sends `bytes` random bytes; doorbells + ReceiveOne collect
+  // what arrives on `socket`. True when all of it arrived intact.
+  bool DeliverToApp(cionet::SocketId socket, cionet::SocketId peer,
+                    size_t bytes, uint64_t seed) {
+    ciobase::Rng rng(seed);
+    Buffer sent = rng.Bytes(bytes);
+    Buffer received;
+    Buffer chunk;
+    size_t offered = 0;
+    for (int i = 0; i < 2000 && received.size() < sent.size(); ++i) {
+      if (offered < sent.size()) {
+        auto n = peer_stack->TcpSend(
+            peer, ciobase::ByteSpan(sent.data() + offered,
+                                    sent.size() - offered));
+        if (n.ok()) {
+          offered += *n;
+        }
+      }
+      peer_stack->Poll();
+      if (!l5->Doorbell().ok()) {
+        return false;
+      }
+      auto got = l5->ReceiveOne(socket, 1 << 16, chunk);
+      if (!got.ok()) {
+        return false;
+      }
+      ciobase::Append(received, chunk);
+      clock.Advance(5'000);
+    }
+    return received == sent;
+  }
 };
+
+// An idle channel with a socket open holds nothing in flight but its full
+// receive credit, every slot outside the credit is free, and the I/O side
+// holds every credit entry unfilled. A receive entry whose completion was
+// lost stays counted app-side but is gone I/O-side, so it fails here.
+::testing::AssertionResult Idle(SqcqWorld& world) {
+  const L5QueueConfig& config = world.l5->queue_config();
+  const L5Channel& l5 = *world.l5;
+  if (l5.receive_credit() == config.pool_slots / 4 &&
+      l5.in_flight_entries() == l5.receive_credit() &&
+      l5.io_receive_credit_for_test() == l5.receive_credit() &&
+      l5.free_slots() + l5.receive_credit() == config.pool_slots) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "credit " << l5.receive_credit() << " (want "
+         << config.pool_slots / 4 << "), in flight "
+         << l5.in_flight_entries() << ", unfilled I/O-side "
+         << l5.io_receive_credit_for_test() << ", free slots "
+         << l5.free_slots() << " of " << config.pool_slots;
+}
 
 // --- Backpressure ------------------------------------------------------------
 
@@ -223,7 +283,7 @@ TEST(Sqcq, SqFullBackpressuresAndRecoversAfterDoorbell) {
   EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   EXPECT_TRUE(world.QueuePlain(server, payload));
   world.Pump();
-  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_TRUE(Idle(world));
 }
 
 TEST(Sqcq, PoolExhaustionBackpressuresUntilCompletionsReturnSlots) {
@@ -243,35 +303,40 @@ TEST(Sqcq, PoolExhaustionBackpressuresUntilCompletionsReturnSlots) {
   EXPECT_FALSE(world.QueuePlain(server, big));
   EXPECT_GT(world.l5->stats().sq_backpressure, backpressure_before);
 
-  // Completions hand the slots back; the same message then fits.
+  // Completions hand the slots back (all but the receive credit's); the
+  // same message then fits.
   world.Pump();
-  EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots);
+  EXPECT_TRUE(Idle(world));
   EXPECT_TRUE(world.QueuePlain(server, big));
   world.Pump();
-  EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots);
+  EXPECT_TRUE(Idle(world));
 }
 
 // --- Per-socket teardown -----------------------------------------------------
 
-TEST(Sqcq, CancelSocketReleasesPinnedStateAndCrossesOnlyThen) {
+TEST(Sqcq, CancelSocketReleasesPinnedStateWithoutCrossing) {
   SqcqWorld world;
+  auto [idle, idle_peer] = world.Establish();
   auto [server, client] = world.Establish();
+  (void)idle_peer;
   (void)client;
 
   // Nothing submitted for the socket: cancelling is app-side only.
   uint64_t crossings = world.l5->stats().crossings;
-  world.l5->CancelSocket(server);
+  world.l5->CancelSocket(idle);
   EXPECT_EQ(world.l5->stats().crossings, crossings);
 
-  // Armed receives (consumed io-side) and a queued send (published, not yet
-  // consumed) pin slots until the cancel.
+  // Receive credit (consumed io-side) and a queued send (published, not
+  // yet consumed) pin slots until the cancel.
   Buffer sink;
+  ASSERT_TRUE(world.l5->Doorbell().ok());
   ASSERT_TRUE(world.l5->ReceiveOne(server, 4096, sink).ok());
   ASSERT_TRUE(world.QueuePlain(server, BufferFromString("never sent")));
   ASSERT_GT(world.l5->in_flight_entries(), 1u);
   crossings = world.l5->stats().crossings;
   world.l5->CancelSocket(server);
-  EXPECT_EQ(world.l5->stats().crossings, crossings + 1);
+  // Still no crossing: the I/O side learns of the cancel at the next one.
+  EXPECT_EQ(world.l5->stats().crossings, crossings);
   EXPECT_EQ(world.l5->in_flight_entries(), 0u);
   EXPECT_EQ(world.l5->free_slots(), world.l5->queue_config().pool_slots);
 
@@ -280,6 +345,48 @@ TEST(Sqcq, CancelSocketReleasesPinnedStateAndCrossesOnlyThen) {
   uint64_t completions = world.l5->stats().cq_completions;
   EXPECT_TRUE(world.l5->Doorbell().ok());
   EXPECT_EQ(world.l5->stats().cq_completions, completions);
+}
+
+TEST(Sqcq, CancelReturnsHeldCompletionsToTheCredit) {
+  L5QueueConfig tiny;
+  tiny.cq_entries = 2;  // four filled receive entries, two must be held
+  tiny.pool_slots = 16;
+  tiny.slot_size = 512;
+  SqcqWorld world(tiny);
+  auto [quiet, quiet_peer] = world.Establish();
+  auto [busy, busy_peer] = world.Establish();
+  (void)quiet_peer;
+  ASSERT_TRUE(world.l5->Doorbell().ok());
+  ASSERT_EQ(world.l5->receive_credit(), 4u);
+
+  ciobase::Rng rng(5);
+  ASSERT_TRUE(world.peer_stack->TcpSend(busy_peer, rng.Bytes(2048)).ok());
+  uint64_t completions = world.l5->stats().cq_completions;
+  for (int i = 0; i < 50 && world.l5->stats().cq_completions == completions;
+       ++i) {
+    world.peer_stack->Poll();
+    ASSERT_TRUE(world.l5->Doorbell().ok());
+    world.clock.Advance(5'000);
+  }
+  // The doorbell filled all four entries from `busy`; the CQ took two.
+  ASSERT_EQ(world.l5->stats().cq_completions, completions + 2);
+  ASSERT_EQ(world.l5->stats().bytes_received, 1024u);
+
+  // The two held completions name a socket the app no longer has open:
+  // posting them would be tampering. They go back to the credit instead.
+  world.l5->CancelSocket(busy);
+  EXPECT_TRUE(world.l5->Doorbell().ok());
+  EXPECT_TRUE(world.l5->Doorbell().ok());
+  EXPECT_EQ(world.l5->stats().bytes_received, 1024u);
+  // With `quiet` still open the whole credit is armed and unfilled again.
+  world.Pump();
+  EXPECT_TRUE(Idle(world));
+
+  // Idle channel: every slot is back in the pool.
+  world.l5->CancelSocket(quiet);
+  EXPECT_TRUE(world.l5->Doorbell().ok());
+  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots);
 }
 
 // --- CQ overflow spill -------------------------------------------------------
@@ -305,11 +412,10 @@ TEST(Sqcq, CqOverflowSpillsAndDrainsInOrderWithoutLoss) {
   // worth; the rest are held io-side and drain on later doorbells.
   EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   EXPECT_EQ(world.l5->stats().cq_completions, 4u);
-  EXPECT_EQ(world.l5->in_flight_entries(), 4u);
+  EXPECT_EQ(world.l5->in_flight_entries(), 4u + world.l5->receive_credit());
   world.Pump();
   EXPECT_EQ(world.l5->stats().cq_completions, 8u);
-  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
-  EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots);
+  EXPECT_TRUE(Idle(world));
 
   // Every byte arrived, in submission order.
   std::string received;
@@ -341,7 +447,7 @@ TEST(Sqcq, CompletionsReapOutOfSubmissionOrderAcrossSockets) {
   ASSERT_TRUE(world.QueuePlain(server_a, for_a));
   EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   world.Pump();
-  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_TRUE(Idle(world));
 
   uint8_t buf[64];
   auto got_a = world.peer_stack->TcpReceive(client_a, buf);
@@ -361,7 +467,7 @@ TEST(Sqcq, DuplicateCompletionIsTampering) {
   auto [server, client] = world.Establish();
   ASSERT_TRUE(world.Send(server, BufferFromString("once")).ok());
   world.Pump();
-  ASSERT_EQ(world.l5->in_flight_entries(), 0u);
+  ASSERT_TRUE(Idle(world));
 
   // Replay the already-reaped completion (user_data 1, current epoch).
   CqEntry replay;
@@ -399,14 +505,36 @@ TEST(Sqcq, GarbageCompletionEntryIsTampering) {
   SqcqWorld world;
   (void)world.Establish();
 
-  CqEntry garbage;
-  uint8_t raw[kCqeSize];
-  std::memset(raw, 0xA5, sizeof raw);
-  garbage = DecodeCqe(ciobase::ByteSpan(raw, sizeof raw));
-  garbage.epoch = world.l5->epoch();  // survives the stale filter...
-  world.ScribbleCqe(garbage);
+  // Current epoch, so it survives the stale filter...
+  world.ScribbleCqe(world.Garbage());
   // ...and dies on the shadow check: no such user_data was ever submitted.
   EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+}
+
+TEST(Sqcq, TamperingStaysReportedUntilTheRingIsReset) {
+  L5QueueConfig tiny;
+  tiny.pool_slots = 16;  // a receive credit of four one-slot entries
+  tiny.slot_size = 512;
+  SqcqWorld world(tiny);
+  auto [server, client] = world.Establish();
+  ASSERT_TRUE(world.DeliverToApp(server, client, 100, 1));
+
+  // The forged entry may stand where a real completion was, so a caller
+  // that drops this report must meet it again: every later doorbell says
+  // kTampered, without crossing, until the rings are reset.
+  world.ScribbleCqe(world.Garbage());
+  EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+  uint64_t crossings = world.l5->stats().crossings;
+  EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+  EXPECT_EQ(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
+  EXPECT_EQ(world.l5->stats().crossings, crossings);
+
+  // After the reset the credit is whole again: more bytes than it holds
+  // arrive, and the channel settles idle.
+  world.l5->AbandonInFlight();
+  EXPECT_TRUE(world.DeliverToApp(server, client, 8 * tiny.slot_size, 2));
+  world.Pump();
+  EXPECT_TRUE(Idle(world));
 }
 
 TEST(Sqcq, CompletionFieldMismatchesAreTampering) {
@@ -415,6 +543,7 @@ TEST(Sqcq, CompletionFieldMismatchesAreTampering) {
   SqcqWorld world;
   auto [server, client] = world.Establish();
   Buffer sink;
+  ASSERT_TRUE(world.l5->Doorbell().ok());
   auto got = world.l5->ReceiveOne(server, 4096, sink);
   ASSERT_TRUE(got.ok());
   ASSERT_GT(world.l5->in_flight_entries(), 0u);
@@ -434,6 +563,7 @@ TEST(Sqcq, CompletionFieldMismatchesAreTampering) {
     SqcqWorld fresh;
     auto [fs, fc] = fresh.Establish();
     Buffer fresh_sink;
+    ASSERT_TRUE(fresh.l5->Doorbell().ok());
     ASSERT_TRUE(fresh.l5->ReceiveOne(fs, 4096, fresh_sink).ok());
     CqEntry forged;
     forged.op = kSqOpRecv;
@@ -450,6 +580,7 @@ TEST(Sqcq, CompletionFieldMismatchesAreTampering) {
     SqcqWorld fresh;
     auto [fs, fc] = fresh.Establish();
     Buffer fresh_sink;
+    ASSERT_TRUE(fresh.l5->Doorbell().ok());
     ASSERT_TRUE(fresh.l5->ReceiveOne(fs, 4096, fresh_sink).ok());
     CqEntry forged;
     forged.op = kSqOpRecv;
@@ -466,6 +597,7 @@ TEST(Sqcq, CompletionFieldMismatchesAreTampering) {
     SqcqWorld fresh;
     auto [fs, fc] = fresh.Establish();
     Buffer fresh_sink;
+    ASSERT_TRUE(fresh.l5->Doorbell().ok());
     ASSERT_TRUE(fresh.l5->ReceiveOne(fs, 4096, fresh_sink).ok());
     CqEntry forged;
     forged.op = kSqOpRecv;
@@ -474,6 +606,46 @@ TEST(Sqcq, CompletionFieldMismatchesAreTampering) {
     forged.code = kCqReset + 1;
     fresh.ScribbleCqe(forged);
     EXPECT_EQ(fresh.l5->Poll().code(), ciobase::StatusCode::kTampered);
+  }
+}
+
+TEST(Sqcq, CompletionNamingAnUnopenedOrCancelledSocketIsTampering) {
+  // A receive completion that is right in every other field: armed
+  // user_data, one segment within the slot, result matching.
+  auto forge = [](SqcqWorld& world, uint32_t socket) {
+    CqEntry forged;
+    forged.op = kSqOpRecv;
+    forged.seg_count = 1;
+    forged.user_data = 1;
+    forged.epoch = world.l5->epoch();
+    forged.socket = socket;
+    forged.seg_len[0] = 10;
+    forged.result = 10;
+    world.ScribbleCqe(forged);
+  };
+  {
+    SqcqWorld world;
+    auto [server, client] = world.Establish();
+    ASSERT_TRUE(world.l5->Doorbell().ok());
+    forge(world, server.value + 1000);  // never opened
+    EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+  }
+  {
+    SqcqWorld world;
+    cionet::SocketId gone = world.Establish().first;
+    (void)world.Establish();  // stays open, so the credit stays armed
+    ASSERT_TRUE(world.l5->Doorbell().ok());
+    world.l5->CancelSocket(gone);
+    forge(world, gone.value);
+    EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+  }
+  {
+    // Control: the same entry naming an open socket reaps cleanly.
+    SqcqWorld world;
+    auto [server, client] = world.Establish();
+    ASSERT_TRUE(world.l5->Doorbell().ok());
+    forge(world, server.value);
+    EXPECT_TRUE(world.l5->Poll().ok());
   }
 }
 
@@ -540,7 +712,7 @@ TEST(SqcqMutation, ForgedCqHeadIsTypedEdgeAndSelfHeals) {
 
   // ...and the wedge heals: the held completion drains on later doorbells.
   world.Pump();
-  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_TRUE(Idle(world));
   EXPECT_EQ(ciobase::LoadLe32(ctrl.raw.data() + kCtrlCqHead),
             ciobase::LoadLe32(ctrl.raw.data() + kCtrlCqTail));
 }
@@ -600,7 +772,7 @@ TEST(SqcqMutation, ForgedSqHeadCannotSpoofConsumption) {
   EXPECT_NE(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
   EXPECT_TRUE(world.QueuePlain(server, payload));
   world.Pump();
-  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_TRUE(Idle(world));
 }
 
 TEST(SqcqMutation, SeededControlCellStormNeverWedgesSilently) {
@@ -636,7 +808,7 @@ TEST(SqcqMutation, SeededControlCellStormNeverWedgesSilently) {
       continue;
     }
     world.Pump();
-    bool drained = world.l5->in_flight_entries() == 0;
+    bool drained = Idle(world);
     bool typed_signal = world.l5->stats().cq_stale_dropped > 0;
     for (const ciobase::CoverageMap::Edge& edge :
          ciobase::CoverageMap::Instance().Edges()) {
