@@ -47,11 +47,11 @@ void ModelTable() {
 // Controlled L5 microbenchmark: a sender streams one batch of `batch` bytes
 // into the receiver's TCP socket while the I/O stack runs on its own (no
 // doorbell, so nothing is harvested yet); then ONE doorbell harvests the
-// whole batch into the receive credit and ReceiveOne drains it. The copy or
-// revocation charge lands inside that doorbell, so the modeled time spent
+// whole batch into the receive credit and ReceiveBytes drains it. The copy
+// or revocation charge lands inside that doorbell, so the modeled time spent
 // in it (copy vs revoke of the full multi-page batch, plus the crossing and
 // stack work both modes share) is where the crossover is visible end to
-// end. ReceiveOne itself charges nothing.
+// end. ReceiveBytes itself charges nothing.
 void BatchedL5Table() {
   using namespace cio;  // NOLINT
   std::printf(
@@ -96,11 +96,11 @@ void BatchedL5Table() {
         clock.Advance(2'000);
         auto got = l5.Accept(*listener);
         if (got.ok()) {
-          server = *got;
+          server = got->socket;
           accepted = true;
         }
       }
-      (void)l5.Doorbell();  // arms the receive credit
+      (void)l5.Flush();  // arms the receive credit
       ciobase::Rng rng(1);
       ciobase::Buffer payload = rng.Bytes(batch);
       ciobase::Buffer receive_buffer;
@@ -121,9 +121,9 @@ void BatchedL5Table() {
           clock.Advance(2'000);
         }
         uint64_t before = clock.now_ns();
-        (void)l5.Doorbell();
+        (void)l5.Flush();
         uint64_t after = clock.now_ns();
-        auto received = l5.ReceiveOne(server, batch, receive_buffer);
+        auto received = l5.ReceiveBytes(server, batch, receive_buffer);
         if (received.ok() && *received == batch) {
           in_doorbell_ns += after - before;
           ++receives;

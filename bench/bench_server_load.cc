@@ -11,17 +11,25 @@
 //   * latency    — p50/p95/p99 from *scheduled arrival* to echo receipt
 //                  (open-loop: queueing during recovery counts against us).
 //
-// On the dual-boundary profile the run additionally takes the fault
-// matrix mid-transfer — a 12 ms link kill (past the TCP retry budget, so
-// every connection dies and must reconnect + reattach) followed by a
-// stalled-counter window — and must still complete with ZERO lost
-// messages. A separate admission probe per profile verifies rejections
-// beyond the connection cap are orderly: typed client-side failure, no
-// crash, table bounded.
+// Two arms, so every profile comparison runs under identical conditions:
+//
+//   * steady — every profile, no faults;
+//   * fault  — every profile whose default StackConfig enables recovery
+//              (today: dual-boundary) takes the same fault schedule
+//              mid-transfer: a 12 ms link kill (past the TCP retry budget,
+//              so every connection dies and must reconnect + reattach)
+//              followed by a 2 ms stalled-counter window. It must still
+//              complete with ZERO lost messages.
+//
+// A separate admission probe per profile verifies rejections beyond the
+// connection cap are orderly: typed client-side failure, no crash, table
+// bounded; its outcome is reported on each of the profile's rows.
 //
 // Exit code is the gate (CI runs this in both plain and sanitizer jobs):
-// non-zero when any profile fails establishment, completion, fairness,
-// zero-loss, or orderly admission. `--json <path>` writes BENCH_server.json.
+// non-zero when any row fails establishment, completion, fairness,
+// zero-loss, or orderly admission. `--json <path>` writes BENCH_server.json
+// (one row per arm and profile); `--profile <path>` writes the steady
+// arm's in-sim profile rows (arm "server-load" of BENCH_profile.json).
 
 #include <algorithm>
 #include <cstdio>
@@ -45,6 +53,7 @@ constexpr uint64_t kArrivalIntervalNs = 250'000;  // per client
 constexpr uint64_t kClientStaggerNs = 5'000;
 
 struct Row {
+  std::string arm;
   std::string profile;
   bool established = false;
   bool completed = false;
@@ -75,13 +84,12 @@ double Percentile(std::vector<double>& sorted_us, double q) {
   return sorted_us[index];
 }
 
-// The 64-client open-loop echo run (with the fault matrix on the
-// dual-boundary profile). When `prof` is non-null it is attached to the
-// server node and reset after establishment, so the profile covers the
-// steady-state load (including the fault matrix) and none of the
-// handshake storm.
-void RunLoadPoint(StackProfile profile, Row& row,
-                  cioprof::ProfRegistry* prof = nullptr) {
+// The 64-client open-loop echo run, with the fault schedule when
+// `with_faults`. When `prof` is non-null it is attached to the server node
+// and reset after establishment, so the profile covers the load and none
+// of the handshake storm.
+void RunLoadPoint(StackProfile profile, bool with_faults, Row& row,
+                  cioprof::ProfRegistry* prof) {
   MultiClientWorld::Options options;
   options.profile = profile;
   options.num_clients = kClients;
@@ -114,7 +122,6 @@ void RunLoadPoint(StackProfile profile, Row& row,
   latencies_us.reserve(kClients * kMessagesPerClient);
   ciobase::Buffer payload(kMessageBytes, 0x42);
 
-  const bool with_faults = profile == StackProfile::kDualBoundary;
   // Mid-transfer: after ~a third of the schedule has fired.
   const uint64_t fault1_ns =
       start_ns + kMessagesPerClient / 3 * kArrivalIntervalNs;
@@ -215,10 +222,16 @@ void RunLoadPoint(StackProfile profile, Row& row,
   }
 }
 
+struct Admission {
+  bool orderly = false;
+  uint64_t rejected = 0;
+};
+
 // Small over-capacity probe: 6 clients race for 4 slots. Rejections must
 // be typed client-side failures, the table must stay at the cap, and the
 // admitted majority must keep working.
-void RunAdmissionProbe(StackProfile profile, Row& row) {
+Admission RunAdmissionProbe(StackProfile profile) {
+  Admission admission;
   MultiClientWorld::Options options;
   options.profile = profile;
   options.num_clients = 6;
@@ -226,12 +239,12 @@ void RunAdmissionProbe(StackProfile profile, Row& row) {
   options.seed = 9900 + static_cast<uint64_t>(profile);
   MultiClientWorld world(options);
   if (!world.server->Start().ok()) {
-    return;
+    return admission;
   }
   for (auto& client : world.clients) {
     if (!client->Connect(world.server_node->ip(), world.server->config().port)
              .ok()) {
-      return;
+      return admission;
     }
   }
   world.PumpUntil(
@@ -249,10 +262,11 @@ void RunAdmissionProbe(StackProfile profile, Row& row) {
     ready += client->Ready() ? 1 : 0;
     failed_typed += client->Failed() ? 1 : 0;
   }
-  row.rejected_admission = world.server->stats().rejected_admission;
-  row.admission_orderly = ready == 4 && failed_typed == 2 &&
-                          world.server->active_connections() <= 4 &&
-                          row.rejected_admission >= 2;
+  admission.rejected = world.server->stats().rejected_admission;
+  admission.orderly = ready == 4 && failed_typed == 2 &&
+                      world.server->active_connections() <= 4 &&
+                      admission.rejected >= 2;
+  return admission;
 }
 
 void WriteJson(const char* path, const std::vector<Row>& rows) {
@@ -266,13 +280,14 @@ void WriteJson(const char* path, const std::vector<Row>& rows) {
     const Row& r = rows[i];
     std::fprintf(
         f,
-        "  {\"profile\": \"%s\", \"clients\": %zu, "
+        "  {\"arm\": \"%s\", \"profile\": \"%s\", \"clients\": %zu, "
         "\"messages_per_client\": %zu, \"msg_size\": %zu, \"ok\": %s, "
         "\"throughput_msgs_per_sec\": %.1f, \"fairness\": %.3f, "
         "\"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f, "
         "\"lost\": %llu, \"recovered\": %llu, "
         "\"rejected_admission\": %llu, \"fault_events\": %llu}%s\n",
-        r.profile.c_str(), kClients, kMessagesPerClient, kMessageBytes,
+        r.arm.c_str(), r.profile.c_str(), kClients, kMessagesPerClient,
+        kMessageBytes,
         r.Ok() ? "true" : "false", r.throughput_msgs_per_sec, r.fairness,
         r.p50_us, r.p95_us, r.p99_us,
         static_cast<unsigned long long>(r.lost),
@@ -305,53 +320,70 @@ int main(int argc, char** argv) {
 
   std::printf("== server load: %zu clients x %zu msgs x %zuB, open loop ==\n",
               kClients, kMessagesPerClient, kMessageBytes);
-  std::printf("%-18s %10s %8s %8s %8s %8s %5s %5s %6s\n", "profile", "msgs/s",
-              "fair", "p50us", "p95us", "p99us", "lost", "rec", "adm-rej");
-  std::printf("%s\n", std::string(84, '-').c_str());
+  std::printf("%-7s %-18s %10s %8s %8s %8s %8s %5s %5s %6s\n", "arm",
+              "profile", "msgs/s", "fair", "p50us", "p95us", "p99us", "lost",
+              "rec", "adm-rej");
+  std::printf("%s\n", std::string(92, '-').c_str());
 
   std::vector<Row> rows;
   bool all_ok = true;
   std::string profile_json = "[";
   bool profile_first = true;
   for (StackProfile profile : kProfiles) {
-    Row row;
-    row.profile = std::string(cio::StackProfileName(profile));
-    cioprof::ProfRegistry prof;
-    RunLoadPoint(profile, row, profile_path != nullptr ? &prof : nullptr);
-    if (profile_path != nullptr) {
-      prof.AppendJsonRows(&profile_json, row.profile, "server-load",
-                          &profile_first);
-      if (profile == StackProfile::kDualBoundary) {
-        // The headline question: where does the dual-boundary server's time
-        // go under load? Print the flame, and gate the attribution — at
-        // least 90% of in-round time must land in a named child probe.
-        std::printf("\n-- dual-boundary server flame (steady-state load) --\n");
-        std::printf("%s\n", prof.ToFlameSummary().c_str());
-        if (prof.unattributed_pct() >= 10.0) {
-          std::printf("profile attribution gate FAILED: "
-                      "unattributed %.2f%% >= 10%%\n",
-                      prof.unattributed_pct());
-          all_ok = false;
+    const Admission admission = RunAdmissionProbe(profile);
+    for (const bool with_faults : {false, true}) {
+      // The fault arm is for profiles that claim recovery; the others keep
+      // their historical wedge-on-fault behavior and have nothing to show.
+      if (with_faults &&
+          !cio::StackConfig::DefaultsFor(profile).recovery.enabled) {
+        continue;
+      }
+      Row row;
+      row.arm = with_faults ? "fault" : "steady";
+      row.profile = std::string(cio::StackProfileName(profile));
+      row.admission_orderly = admission.orderly;
+      row.rejected_admission = admission.rejected;
+      // The profile covers the steady arm: per-layer cost under load, not
+      // recovery work.
+      const bool profiled = profile_path != nullptr && !with_faults;
+      cioprof::ProfRegistry prof;
+      RunLoadPoint(profile, with_faults, row, profiled ? &prof : nullptr);
+      if (profiled) {
+        prof.AppendJsonRows(&profile_json, row.profile, "server-load",
+                            &profile_first);
+        if (profile == StackProfile::kDualBoundary) {
+          // The headline question: where does the dual-boundary server's
+          // time go under load? Print the flame, and gate the attribution —
+          // at least 90% of in-round time must land in a named child probe.
+          std::printf(
+              "\n-- dual-boundary server flame (steady-state load) --\n");
+          std::printf("%s\n", prof.ToFlameSummary().c_str());
+          if (prof.unattributed_pct() >= 10.0) {
+            std::printf("profile attribution gate FAILED: "
+                        "unattributed %.2f%% >= 10%%\n",
+                        prof.unattributed_pct());
+            all_ok = false;
+          }
         }
       }
-    }
-    RunAdmissionProbe(profile, row);
-    std::printf("%-18s %10.0f %8.3f %8.1f %8.1f %8.1f %5llu %5llu %6llu%s\n",
-                row.profile.c_str(), row.throughput_msgs_per_sec,
-                row.fairness, row.p50_us, row.p95_us, row.p99_us,
-                static_cast<unsigned long long>(row.lost),
-                static_cast<unsigned long long>(row.recovered),
-                static_cast<unsigned long long>(row.rejected_admission),
-                row.Ok() ? "" : "  FAIL");
-    if (!row.Ok()) {
       std::printf(
-          "    established=%d completed=%d zero_lost=%d admission=%d "
-          "fairness=%.3f\n",
-          row.established, row.completed, row.zero_lost,
-          row.admission_orderly, row.fairness);
-      all_ok = false;
+          "%-7s %-18s %10.0f %8.3f %8.1f %8.1f %8.1f %5llu %5llu %6llu%s\n",
+          row.arm.c_str(), row.profile.c_str(), row.throughput_msgs_per_sec,
+          row.fairness, row.p50_us, row.p95_us, row.p99_us,
+          static_cast<unsigned long long>(row.lost),
+          static_cast<unsigned long long>(row.recovered),
+          static_cast<unsigned long long>(row.rejected_admission),
+          row.Ok() ? "" : "  FAIL");
+      if (!row.Ok()) {
+        std::printf(
+            "    established=%d completed=%d zero_lost=%d admission=%d "
+            "fairness=%.3f\n",
+            row.established, row.completed, row.zero_lost,
+            row.admission_orderly, row.fairness);
+        all_ok = false;
+      }
+      rows.push_back(row);
     }
-    rows.push_back(row);
   }
 
   if (json_path != nullptr) {
@@ -373,7 +405,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("server load gate passed: %zu clients per profile, "
-              "dual-boundary fault matrix zero-loss\n",
+              "fault arm zero-loss\n",
               kClients);
   return 0;
 }

@@ -23,11 +23,6 @@ std::string_view AttackOutcomeName(AttackOutcome outcome) {
   return "?";
 }
 
-namespace {
-
-// Campaign cells shrink the TCP timers so retransmit-driven catch-up (and,
-// for the recovery dimension, retry exhaustion on a killed link) fits in a
-// simulated fault window instead of wall-clock-scale RTOs.
 void TuneTcpForCampaign(StackConfig& config) {
   config.tcp_tuning.initial_rto_ns = 1'000'000;  // 1 ms
   config.tcp_tuning.min_rto_ns = 500'000;
@@ -35,9 +30,6 @@ void TuneTcpForCampaign(StackConfig& config) {
   config.tcp_tuning.max_retries = 4;
 }
 
-// Every delivered message must be some sent message, in sent order
-// (TCP+TLS guarantee ordering; the engine's sequence numbers drop
-// duplicates). Counts received messages that match no remaining sent one.
 size_t CorruptedCount(const std::vector<ciobase::Buffer>& sent,
                       const std::vector<ciobase::Buffer>& received) {
   size_t bad = 0;
@@ -55,8 +47,6 @@ size_t CorruptedCount(const std::vector<ciobase::Buffer>& sent,
   }
   return bad;
 }
-
-}  // namespace
 
 CampaignCell RunAttackCell(StackProfile profile,
                            ciohost::AttackStrategy strategy,

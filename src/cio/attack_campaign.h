@@ -51,6 +51,19 @@ enum class AttackOutcome {
 
 std::string_view AttackOutcomeName(AttackOutcome outcome);
 
+// Shrinks the TCP timers (1 ms initial RTO, 4 retries) so retransmit-driven
+// catch-up, and retry exhaustion on a killed link, fit in a simulated fault
+// window instead of wall-clock-scale RTOs. The attack and recovery
+// campaigns, the fuzz targets and the multi-client server harness all run
+// under it.
+void TuneTcpForCampaign(StackConfig& config);
+
+// Every delivered message must be some sent message, in sent order
+// (TCP+TLS guarantee ordering; the engine's sequence numbers drop
+// duplicates). Counts received messages that match no remaining sent one.
+size_t CorruptedCount(const std::vector<ciobase::Buffer>& sent,
+                      const std::vector<ciobase::Buffer>& received);
+
 struct CampaignCell {
   StackProfile profile;
   ciohost::AttackStrategy strategy;

@@ -85,8 +85,8 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
     RecordCall("listen", port);
     return node->host_stack_->TcpListen(port);
   }
-  ciobase::Result<cionet::SocketId> Accept(cionet::SocketId id) override {
-    auto result = node->host_stack_->TcpAccept(id);
+  ciobase::Result<Accepted> Accept(cionet::SocketId id) override {
+    auto result = AcceptFrom(*node->host_stack_, id);
     if (result.ok()) {
       // The accept timing itself is a host-visible event [3].
       node->costs_.ChargeHostExit();
@@ -142,12 +142,6 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
     out.resize(*got);
     return *got;
   }
-  ciobase::Result<size_t> AcceptPending(cionet::SocketId id) override {
-    return node->host_stack_->TcpAcceptPending(id);
-  }
-  ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
-    return node->host_stack_->GetTcpPeer(id);
-  }
   ciobase::Status Poll() override { return node->host_stack_->Poll(); }
 };
 
@@ -164,8 +158,8 @@ struct ConfidentialNode::GuestStackOps final : SocketLayer {
   ciobase::Result<cionet::SocketId> Listen(uint16_t port) override {
     return node->guest_stack_->TcpListen(port);
   }
-  ciobase::Result<cionet::SocketId> Accept(cionet::SocketId id) override {
-    return node->guest_stack_->TcpAccept(id);
+  ciobase::Result<Accepted> Accept(cionet::SocketId id) override {
+    return AcceptFrom(*node->guest_stack_, id);
   }
   ciobase::Result<cionet::TcpState> State(cionet::SocketId id) override {
     return node->guest_stack_->GetTcpState(id);
@@ -191,87 +185,7 @@ struct ConfidentialNode::GuestStackOps final : SocketLayer {
     out.resize(*got);
     return *got;
   }
-  ciobase::Result<size_t> AcceptPending(cionet::SocketId id) override {
-    return node->guest_stack_->TcpAcceptPending(id);
-  }
-  ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
-    return node->guest_stack_->GetTcpPeer(id);
-  }
-  void PollDevice() {
-    if (node->virtio_device_ != nullptr) {
-      node->virtio_device_->Poll();
-    }
-    if (node->virtio_device2_ != nullptr) {
-      node->virtio_device2_->Poll();
-    }
-    if (node->dda_device_ != nullptr) {
-      node->dda_device_->Poll();
-    }
-  }
-  ciobase::Status Poll() override {
-    // Device before AND after the stack: the host backend runs concurrently
-    // with the guest in reality, so frames the stack emits this round must
-    // not be stranded in the ring until the next simulation round.
-    PollDevice();
-    ciobase::Status link = node->guest_stack_->Poll();
-    PollDevice();
-    return link;
-  }
-};
-
-// Dual-boundary: the stack lives in the I/O compartment; all socket calls
-// cross the L5 channel.
-struct ConfidentialNode::DualBoundaryOps final : SocketLayer {
-  ConfidentialNode* node;
-  explicit DualBoundaryOps(ConfidentialNode* n) : node(n) {}
-
-  ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
-                                            uint16_t port) override {
-    return node->l5_->Connect(ip, port);
-  }
-  ciobase::Result<cionet::SocketId> Listen(uint16_t port) override {
-    return node->l5_->Listen(port);
-  }
-  ciobase::Result<cionet::SocketId> Accept(cionet::SocketId id) override {
-    return node->l5_->Accept(id);
-  }
-  ciobase::Result<cionet::TcpState> State(cionet::SocketId id) override {
-    return node->l5_->State(id);
-  }
-  ciobase::Status Close(cionet::SocketId id) override {
-    ciobase::Status closed = node->l5_->Close(id);
-    node->l5_->CancelSocket(id);
-    return closed;
-  }
-  ciobase::Status Abort(cionet::SocketId id) override {
-    node->l5_->CancelSocket(id);
-    return node->l5_->Abort(id);
-  }
-  ciobase::Result<size_t> SendBytes(cionet::SocketId id,
-                                    ciobase::ByteSpan data) override {
-    return node->l5_->SubmitStream(id, data);
-  }
-  ciobase::Status Flush() override { return node->l5_->Doorbell(); }
-  bool SendsInFlight(cionet::SocketId id) override {
-    return node->l5_->HasInFlightSends(id);
-  }
-  void AbandonInFlight() override { node->l5_->AbandonInFlight(); }
-  ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
-                                       ciobase::Buffer& out) override {
-    return node->l5_->ReceiveOne(id, max, out);
-  }
-  ciobase::Result<size_t> AcceptPending(cionet::SocketId id) override {
-    return node->l5_->AcceptPending(id);
-  }
-  ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
-    return node->l5_->Peer(id);
-  }
-  ciobase::Status Poll() override {
-    node->l2_device_->Poll();
-    ciobase::Status link = node->l5_->Poll();
-    node->l2_device_->Poll();  // see GuestStackOps::Poll
-    return link;
-  }
+  ciobase::Status Poll() override { return node->guest_stack_->Poll(); }
 };
 
 // --- ConfidentialNode ------------------------------------------------------------
@@ -442,11 +356,12 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
       // Single distrust: the app may reach into the I/O heap; the I/O
       // stack gets NO grant into app memory (ternary model, §3.1).
       compartments_->GrantAccess(app_compartment_, io_compartment_);
-      l5_ = std::make_unique<L5Channel>(
+      auto l5 = std::make_unique<L5Channel>(
           compartments_.get(), app_compartment_, io_compartment_,
           guest_stack_.get(), &costs_, config_.l5_receive,
           config_.l5_boundary, config_.l5_queue);
-      ops_ = std::make_unique<DualBoundaryOps>(this);
+      l5_ = l5.get();
+      ops_ = std::move(l5);
       break;
     }
   }
@@ -777,7 +692,7 @@ void ConfidentialNode::Poll() {
   if (vsock_device_ != nullptr) {
     vsock_device_->Poll();
   }
-  ciobase::Status link = ops_->Poll();
+  ciobase::Status link = PollStack();
   if (!link.ok() && link.code() == ciobase::StatusCode::kTimedOut) {
     // The transport's reset budget is exhausted: the host stopped the link
     // for good. Everything still in flight is lost.
@@ -803,7 +718,7 @@ void ConfidentialNode::Poll() {
   if (listening_ && !have_socket_) {
     auto accepted = ops_->Accept(listener_);
     if (accepted.ok()) {
-      socket_ = *accepted;
+      socket_ = accepted->socket;
       have_socket_ = true;
       connected_transport_ = true;
       session_.Start(ciotls::TlsRole::kServer, config_.seed + 1);
@@ -834,6 +749,27 @@ void ConfidentialNode::Poll() {
   }
 }
 
+ciobase::Status ConfidentialNode::PollStack() {
+  auto poll_devices = [this] {
+    if (virtio_device_ != nullptr) {
+      virtio_device_->Poll();
+    }
+    if (virtio_device2_ != nullptr) {
+      virtio_device2_->Poll();
+    }
+    if (dda_device_ != nullptr) {
+      dda_device_->Poll();
+    }
+    if (l2_device_ != nullptr) {
+      l2_device_->Poll();
+    }
+  };
+  poll_devices();
+  ciobase::Status link = ops_->Poll();
+  poll_devices();
+  return link;
+}
+
 ciobase::Status ConfidentialNode::SendMessage(ciobase::ByteSpan message) {
   if (!Ready()) {
     return ciobase::FailedPrecondition("link not ready");
@@ -850,7 +786,7 @@ ciobase::Status ConfidentialNode::SendMessage(ciobase::ByteSpan message) {
   SendOutbound(/*flush=*/false);
   if (config_.l5_latency_mode) {
     // Don't batch: ring the doorbell for this message alone.
-    (void)ops_->Poll();
+    (void)PollStack();
     PumpBytes();
   }
   return ciobase::OkStatus();

@@ -36,6 +36,7 @@
 #include "src/cio/l2_transport.h"
 #include "src/cio/l5_channel.h"
 #include "src/cio/session.h"
+#include "src/cio/socket_layer.h"
 #include "src/cio/tunnel_port.h"
 #include "src/hostsim/adversary.h"
 #include "src/hostsim/observability.h"
@@ -50,63 +51,6 @@
 #include "src/virtio/vsock_driver.h"
 
 namespace cio {
-
-// The profile-specific socket plumbing a stack assembly exposes: every
-// profile provides the same byte-stream interface over its own machinery
-// (host syscalls, guest stack, or the L5 channel into the I/O compartment).
-// ConfidentialNode drives exactly one socket through it; the multi-tenant
-// ConfidentialServer (src/serve/) multiplexes many. It is the only send
-// path: SendBytes queues, Flush pushes the queue.
-class SocketLayer {
- public:
-  virtual ~SocketLayer() = default;
-
-  virtual ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
-                                                    uint16_t port) = 0;
-  virtual ciobase::Result<cionet::SocketId> Listen(uint16_t port) = 0;
-  virtual ciobase::Result<cionet::SocketId> Accept(
-      cionet::SocketId listener) = 0;
-  virtual ciobase::Result<cionet::TcpState> State(cionet::SocketId id) = 0;
-  // Orderly close (FIN after buffered data); the server's draining state
-  // uses it. Close and Abort both release whatever queue state the socket
-  // still pins.
-  virtual ciobase::Status Close(cionet::SocketId id) = 0;
-  // Abortive close (RST now); the recovery path uses it to kill a dead
-  // connection before re-establishing.
-  virtual ciobase::Status Abort(cionet::SocketId id) = 0;
-  // Queues `data` and returns bytes accepted (possibly 0 under
-  // backpressure). A direct call on the syscall and guest-stack profiles;
-  // on dual-boundary the bytes wait in the submission queue for the next
-  // Flush() or Poll().
-  virtual ciobase::Result<size_t> SendBytes(cionet::SocketId id,
-                                            ciobase::ByteSpan data) = 0;
-  // Pushes everything SendBytes queued: one doorbell on dual-boundary, a
-  // no-op where SendBytes is already a direct call.
-  virtual ciobase::Status Flush() { return ciobase::OkStatus(); }
-  // True while bytes SendBytes accepted for `id` have not yet left the
-  // queue; an orderly close waits for them.
-  virtual bool SendsInFlight(cionet::SocketId /*id*/) { return false; }
-  // Drops everything queued across the boundary, for every socket: link
-  // recovery, and the answer to a Poll or Flush that returned kTampered
-  // (which keeps being returned until this runs). A no-op where nothing is
-  // queued; the sessions' resend windows replay what was dropped.
-  virtual void AbandonInFlight() {}
-  // Fills `out` with the next chunk (capacity reused across calls); returns
-  // the byte count — 0 when nothing is pending — kFailedPrecondition at
-  // orderly EOF, kLinkReset when the connection died underneath us. Finding
-  // nothing costs nothing on the modeled clock, so a server may ask every
-  // connection every round; on dual-boundary it only drains what Poll's
-  // and Flush's doorbells already harvested.
-  virtual ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
-                                               ciobase::Buffer& out) = 0;
-  // Pending not-yet-accepted connections on a listener.
-  virtual ciobase::Result<size_t> AcceptPending(cionet::SocketId listener) = 0;
-  // Remote address of an established connection (the server's reattach key).
-  virtual ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) = 0;
-  // Drives the stack; surfaces the link status (kTimedOut = transport
-  // watchdog exhausted its reset budget, kLinkReset = ring reset this round).
-  virtual ciobase::Status Poll() = 0;
-};
 
 class ConfidentialNode {
  public:
@@ -128,6 +72,13 @@ class ConfidentialNode {
   // Drives everything: host devices, guest stack, TLS pumping. Call in the
   // simulation loop.
   void Poll();
+  // One pass over the stack: the simulated host devices, the socket
+  // layer's Poll (the doorbell on dual-boundary), then the devices again —
+  // the host backend runs concurrently with the guest in reality, so frames
+  // the stack emits this round must not be stranded in the ring until the
+  // next one. Returns the link status. Poll() calls it; so does the
+  // multi-tenant server, which drives sockets() itself.
+  ciobase::Status PollStack();
   // True once the transport is connected and (if enabled) TLS established.
   bool Ready() const;
   bool Failed() const;
@@ -170,7 +121,7 @@ class ConfidentialNode {
   ciotee::CompartmentManager* compartments() { return compartments_.get(); }
   // The dual-boundary L5 channel (null on other profiles), for stats and
   // hostile-host tests; data moves through sockets().
-  L5Channel* l5() { return l5_.get(); }
+  L5Channel* l5() { return l5_; }
   L2Transport* l2_transport() { return l2_transport_.get(); }
   ciovirtio::VirtioNetDriver* virtio_driver() { return virtio_driver_.get(); }
   // Second bonded net device (null unless config.net_devices == 2).
@@ -184,8 +135,9 @@ class ConfidentialNode {
   TunnelPort* tunnel_port() { return tunnel_port_.get(); }
   ciotee::SharedRegion* shared_region() { return shared_.get(); }
   const ciotls::TlsSession* tls() const { return session_.tls(); }
-  // The profile's socket plumbing: the multi-tenant server drives its own
-  // connection table through this instead of the node's single socket.
+  // The profile's socket plumbing (the L5 channel itself on dual-boundary):
+  // the multi-tenant server drives its own connection table through this
+  // instead of the node's single socket.
   SocketLayer* sockets() { return ops_.get(); }
   // Application-level operations completed (messages in + out): the
   // denominator of the observability score.
@@ -221,7 +173,6 @@ class ConfidentialNode {
  private:
   struct SyscallOps;       // profile-specific byte-stream plumbing
   struct GuestStackOps;
-  struct DualBoundaryOps;
 
   void PumpBytes();
   // Hands the session's outbound bytes to the socket layer; with `flush`,
@@ -275,8 +226,8 @@ class ConfidentialNode {
   std::unique_ptr<cionet::NetStack> guest_stack_;
   std::unique_ptr<cionet::FramePort> host_port_;
   std::unique_ptr<cionet::NetStack> host_stack_;  // syscall profile
-  std::unique_ptr<L5Channel> l5_;
   std::unique_ptr<SocketLayer> ops_;
+  L5Channel* l5_ = nullptr;  // ops_ itself on dual-boundary
 
   // The single secure channel this node runs (TLS + framing + resend
   // window); src/serve/ holds one Session per connection instead.

@@ -71,7 +71,11 @@ L5Channel::Crossing::~Crossing() {
 ciobase::Result<cionet::SocketId> L5Channel::Connect(cionet::Ipv4Address ip,
                                                      uint16_t port) {
   Crossing crossing(this);
-  return Opened(stack_->TcpConnect(ip, port));
+  auto socket = stack_->TcpConnect(ip, port);
+  if (socket.ok()) {
+    Opened(*socket);
+  }
+  return socket;
 }
 
 ciobase::Result<cionet::SocketId> L5Channel::Listen(uint16_t port) {
@@ -79,19 +83,18 @@ ciobase::Result<cionet::SocketId> L5Channel::Listen(uint16_t port) {
   return stack_->TcpListen(port);
 }
 
-ciobase::Result<cionet::SocketId> L5Channel::Accept(
-    cionet::SocketId listener) {
+ciobase::Result<Accepted> L5Channel::Accept(cionet::SocketId listener) {
   Crossing crossing(this);
-  return Opened(stack_->TcpAccept(listener));
+  auto accepted = AcceptFrom(*stack_, listener);
+  if (accepted.ok()) {
+    Opened(accepted->socket);
+  }
+  return accepted;
 }
 
-ciobase::Result<cionet::SocketId> L5Channel::Opened(
-    ciobase::Result<cionet::SocketId> socket) {
-  if (socket.ok()) {
-    io_sockets_[socket->value] = true;  // I/O side: fill credit from it
-    open_.insert(socket->value);        // app side: completions may name it
-  }
-  return socket;
+void L5Channel::Opened(cionet::SocketId socket) {
+  io_sockets_[socket.value] = true;  // I/O side: fill credit from it
+  open_.insert(socket.value);        // app side: completions may name it
 }
 
 ciobase::Result<cionet::TcpState> L5Channel::State(cionet::SocketId socket) {
@@ -103,14 +106,21 @@ ciobase::Status L5Channel::Close(cionet::SocketId socket) {
   // An orderly close must not outrun this socket's queued submissions: the
   // FIN would precede (or discard) data still sitting in the SQ. One
   // doorbell pushes whatever is pending before the stack sees the close.
-  if (HasInFlightSends(socket)) {
-    (void)Doorbell();
+  if (SendsInFlight(socket)) {
+    (void)Flush();
   }
-  Crossing crossing(this);
-  return stack_->TcpClose(socket);
+  ciobase::Status closed = ciobase::OkStatus();
+  {
+    Crossing crossing(this);
+    closed = stack_->TcpClose(socket);
+  }
+  // Whatever the socket still pins (slots, harvested receives, the last
+  // socket's receive credit) goes back now, not at some later reset.
+  CancelSocket(socket);
+  return closed;
 }
 
-bool L5Channel::HasInFlightSends(cionet::SocketId socket) const {
+bool L5Channel::SendsInFlight(cionet::SocketId socket) const {
   for (const auto& [user_data, entry] : in_flight_) {
     if (entry.op == kSqOpSend && entry.socket == socket.value) {
       return true;
@@ -120,19 +130,11 @@ bool L5Channel::HasInFlightSends(cionet::SocketId socket) const {
 }
 
 ciobase::Status L5Channel::Abort(cionet::SocketId socket) {
+  // Cancelled first: the cancel rides this very crossing, so the I/O side
+  // drops the socket's queued sends before the RST goes out.
+  CancelSocket(socket);
   Crossing crossing(this);
   return stack_->TcpAbort(socket);
-}
-
-ciobase::Result<size_t> L5Channel::AcceptPending(cionet::SocketId listener) {
-  Crossing crossing(this);
-  return stack_->TcpAcceptPending(listener);
-}
-
-ciobase::Result<cionet::Ipv4Address> L5Channel::Peer(
-    cionet::SocketId socket) {
-  Crossing crossing(this);
-  return stack_->GetTcpPeer(socket);
 }
 
 // --- Layout helpers ---------------------------------------------------------
@@ -172,8 +174,8 @@ void L5Channel::SubmitSqe(SqEntry& sqe) {
   ++stats_.sq_submitted;
 }
 
-ciobase::Result<size_t> L5Channel::SubmitStream(cionet::SocketId socket,
-                                                ciobase::ByteSpan data) {
+ciobase::Result<size_t> L5Channel::SendBytes(cionet::SocketId socket,
+                                             ciobase::ByteSpan data) {
   if (!queues_ready_) {
     return ciobase::FailedPrecondition("async queues unavailable");
   }
@@ -237,7 +239,7 @@ void L5Channel::ArmReceiveCredit() {
 
 // --- The doorbell crossing --------------------------------------------------
 
-ciobase::Status L5Channel::Doorbell() {
+ciobase::Status L5Channel::Flush() {
   if (!queues_ready_) {
     return ciobase::FailedPrecondition("async queues unavailable");
   }
@@ -670,9 +672,9 @@ void L5Channel::AbandonInFlight() {
 
 // --- One-shot receive -------------------------------------------------------
 
-ciobase::Result<size_t> L5Channel::ReceiveOne(cionet::SocketId socket,
-                                              size_t max_bytes,
-                                              ciobase::Buffer& out) {
+ciobase::Result<size_t> L5Channel::ReceiveBytes(cionet::SocketId socket,
+                                                size_t max_bytes,
+                                                ciobase::Buffer& out) {
   out.clear();
   if (!queues_ready_) {
     return ciobase::FailedPrecondition("async queues unavailable");
@@ -703,7 +705,5 @@ ciobase::Result<size_t> L5Channel::ReceiveOne(cionet::SocketId socket,
   }
   return out.size();
 }
-
-ciobase::Status L5Channel::Poll() { return Doorbell(); }
 
 }  // namespace cio

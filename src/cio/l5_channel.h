@@ -11,21 +11,23 @@
 //    policy [34]). The stack only ever touches that region, addressed by
 //    slot index — it never validates an app pointer, the app never
 //    dereferences a stack pointer.
-//  * Async datapath: SubmitStream copies already-sealed TLS bytes into
+//  * One interface: the channel IS dual-boundary's SocketLayer — the
+//    engine and the server hold it as such and never reach past it.
+//  * Async datapath: SendBytes copies already-sealed TLS bytes into
 //    registered slots (an app-local copy; the stack then transmits from the
-//    slot in place), queues scatter-gather submission entries, and the
-//    doorbell rings ONCE per batch — one boundary crossing amortized over
-//    every queued operation, instead of a crossing per message. The engine
-//    and the server reach this only through SocketLayer (SendBytes queues,
-//    Flush rings). Completions are reaped lazily from the CQ with no
+//    slot in place) and queues scatter-gather submission entries; the
+//    doorbell (Flush, and Poll) rings ONCE per batch — one boundary
+//    crossing amortized over every queued operation, instead of a crossing
+//    per message. Completions are reaped lazily from the CQ with no
 //    crossing at all.
 //  * One receive path: while any connection is open the channel keeps
 //    pool_slots / 4 one-slot receive entries armed as shared credit. They
 //    name no socket: inside each doorbell the I/O side fills them from
 //    whichever sockets opened through the channel have bytes (rotating the
 //    starting socket every doorbell) and writes the socket into the CQE.
-//    ReceiveOne only drains what doorbells already harvested, so receiving
-//    never crosses the boundary and never needs a readiness query.
+//    ReceiveBytes only drains what doorbells already harvested, so
+//    receiving never crosses the boundary and never needs a readiness
+//    query.
 //  * Receive trust: everything the I/O side writes back — CQ indices,
 //    completion codes, lengths, the socket word — is hostile-host-writable,
 //    so the reaper validates each entry against its private in-flight
@@ -49,6 +51,7 @@
 
 #include "src/base/clock.h"
 #include "src/cio/buffer_pool.h"
+#include "src/cio/socket_layer.h"
 #include "src/cio/sqcq.h"
 #include "src/net/stack.h"
 #include "src/tee/compartment.h"
@@ -58,7 +61,7 @@ namespace cio {
 enum class L5ReceiveMode { kCopy, kRevoke, kSealed };
 enum class L5BoundaryKind { kCompartment, kDualTee };
 
-class L5Channel {
+class L5Channel final : public SocketLayer {
  public:
   L5Channel(ciotee::CompartmentManager* compartments,
             ciotee::CompartmentId app, ciotee::CompartmentId io,
@@ -66,21 +69,20 @@ class L5Channel {
             L5ReceiveMode receive_mode, L5BoundaryKind boundary_kind,
             const L5QueueConfig& queues = L5QueueConfig{});
 
-  // Connection management: thin crossings into the I/O compartment. A
-  // socket Connect or Accept returns is open until CancelSocket.
+  // Connection management: one crossing into the I/O compartment each
+  // (Accept included: the peer address comes back in the same crossing).
+  // A socket Connect or Accept returns is open until Close or Abort.
   ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
-                                            uint16_t port);
-  ciobase::Result<cionet::SocketId> Listen(uint16_t port);
-  ciobase::Result<cionet::SocketId> Accept(cionet::SocketId listener);
-  ciobase::Result<cionet::TcpState> State(cionet::SocketId socket);
-  ciobase::Status Close(cionet::SocketId socket);
-  // Abortive close (RST now): the engine's recovery path kills dead
-  // connections through this before re-establishing.
-  ciobase::Status Abort(cionet::SocketId socket);
-
-  // Listener backlog and peer address (each one crossing).
-  ciobase::Result<size_t> AcceptPending(cionet::SocketId listener);
-  ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId socket);
+                                            uint16_t port) override;
+  ciobase::Result<cionet::SocketId> Listen(uint16_t port) override;
+  ciobase::Result<Accepted> Accept(cionet::SocketId listener) override;
+  ciobase::Result<cionet::TcpState> State(cionet::SocketId socket) override;
+  // Orderly close: a doorbell first if the socket still has queued sends
+  // (the FIN must not outrun them), the close crossing, then CancelSocket.
+  ciobase::Status Close(cionet::SocketId socket) override;
+  // Abortive close (RST now): CancelSocket, then the abort crossing. The
+  // engine's recovery path kills dead connections through this.
+  ciobase::Status Abort(cionet::SocketId socket) override;
 
   // --- Async datapath --------------------------------------------------------
 
@@ -91,40 +93,42 @@ class L5Channel {
   // app's one write into registered memory) and queues scatter-gather send
   // entries. Returns bytes accepted — short on backpressure; the caller
   // keeps the rest and retries after the next doorbell.
-  ciobase::Result<size_t> SubmitStream(cionet::SocketId socket,
-                                       ciobase::ByteSpan data);
+  ciobase::Result<size_t> SendBytes(cionet::SocketId socket,
+                                    ciobase::ByteSpan data) override;
 
-  // THE one crossing of the async path: tops up the receive credit,
-  // publishes queued SQEs, drives the stack, services sends and fills
-  // receive credit into registered slots, posts CQEs, and then reaps +
-  // validates completions app-side. Returns the link status (kLinkReset /
+  // The doorbell, THE one crossing of the async path: tops up the receive
+  // credit, publishes queued SQEs, drives the stack, services sends and
+  // fills receive credit into registered slots, posts CQEs, and then reaps
+  // + validates completions app-side. Returns the link status (kLinkReset /
   // kTimedOut) or kTampered when a CQ entry fails validation. A forged
   // entry may stand where a real completion was (bytes a stream needs, a
   // credit entry), so kTampered sticks: every later doorbell returns it
   // without crossing until AbandonInFlight resets the rings, and a caller
   // that drops one report meets it again at the next.
-  ciobase::Status Doorbell();
+  ciobase::Status Flush() override;
+  // Drives the I/O compartment: the same doorbell as Flush().
+  ciobase::Status Poll() override { return Flush(); }
 
   // Tears down one socket's queue state (queued sends, undelivered
-  // receives) without disturbing other sockets — the socket layer's
-  // Close/Abort call this. Slots return to the pool at once; delivery is
-  // owned by the session resend window. Never crosses: the I/O side learns
-  // of the cancel at the start of the next crossing, before it can post
-  // anything, and hands any completion it still holds for the socket back
-  // to the receive credit. Cancelling the last open socket releases the
+  // receives) without disturbing other sockets — Close and Abort call
+  // this. Slots return to the pool at once; delivery is owned by the
+  // session resend window. Never crosses: the I/O side learns of the
+  // cancel at the start of the next crossing, before it can post anything,
+  // and hands any completion it still holds for the socket back to the
+  // receive credit. Cancelling the last open socket releases the
   // credit itself.
   void CancelSocket(cionet::SocketId socket);
 
   // True while this socket still has submitted-but-unreaped send entries —
   // an orderly close must wait for (or flush) them first.
-  bool HasInFlightSends(cionet::SocketId socket) const;
+  bool SendsInFlight(cionet::SocketId socket) const override;
 
   // Full ring reset for recovery: bumps the epoch (completions from the old
   // generation reap as stale, not as tampering), drops every in-flight
   // entry and harvested receive, returns the slots and clears a kTampered
   // verdict. The caller replays from the session resend window once the
   // channel is re-established.
-  void AbandonInFlight();
+  void AbandonInFlight() override;
 
   // --- Receive ---------------------------------------------------------------
 
@@ -133,11 +137,9 @@ class L5Channel {
   // nothing harvested, kFailedPrecondition = orderly EOF, kLinkReset = the
   // connection died underneath the app (both repeat until the socket is
   // cancelled). `max_bytes` is a hint — slot granularity may return more.
-  ciobase::Result<size_t> ReceiveOne(cionet::SocketId socket,
-                                     size_t max_bytes, ciobase::Buffer& out);
-
-  // Drives the I/O compartment; identical to Doorbell().
-  ciobase::Status Poll();
+  ciobase::Result<size_t> ReceiveBytes(cionet::SocketId socket,
+                                       size_t max_bytes,
+                                       ciobase::Buffer& out) override;
 
   struct Stats {
     uint64_t crossings = 0;
@@ -199,8 +201,7 @@ class L5Channel {
   void ChargeCrossing();
   void InitQueues();
   // Records a socket Connect/Accept opened, on both sides of the boundary.
-  ciobase::Result<cionet::SocketId> Opened(
-      ciobase::Result<cionet::SocketId> socket);
+  void Opened(cionet::SocketId socket);
   // Keeps pool_slots / 4 receive entries armed while any socket is open.
   void ArmReceiveCredit();
 

@@ -632,14 +632,6 @@ ciobase::Result<TcpConnection::Stats> NetStack::GetTcpStats(
   return socket->conn->stats();
 }
 
-ciobase::Result<size_t> NetStack::TcpAcceptPending(SocketId id) const {
-  const Socket* listener = Find(id);
-  if (listener == nullptr || listener->type != SocketType::kTcpListener) {
-    return ciobase::NotFound("not a listener");
-  }
-  return listener->accept_queue.size();
-}
-
 ciobase::Result<bool> NetStack::TcpReadable(SocketId id) const {
   const Socket* socket = Find(id);
   if (socket == nullptr || socket->type != SocketType::kTcpConnection) {

@@ -105,16 +105,16 @@ class NetStack {
   ciobase::Result<TcpConnection::Stats> GetTcpStats(SocketId socket) const;
 
   // --- Readiness (poll-loop support) ----------------------------------------
-  // These are cheap state queries so a server can skip idle sockets.
+  // Cheap state queries, so a poll loop (the L5 channel's I/O side) can
+  // skip idle sockets.
 
-  // Connections queued on a listener, not yet TcpAccept'ed.
-  ciobase::Result<size_t> TcpAcceptPending(SocketId listener) const;
   // True when TcpReceive would make progress: buffered bytes, a drained
   // FIN (EOF to report), or a dead connection (kLinkReset to report).
   ciobase::Result<bool> TcpReadable(SocketId socket) const;
   // Free send-buffer space; 0 means TcpSend would accept nothing.
   ciobase::Result<size_t> TcpSendSpace(SocketId socket) const;
-  // Remote address of a connection (server-side reattach key).
+  // Remote address of a connection (the server's reattach key; the socket
+  // layer's Accept returns it with the socket).
   ciobase::Result<Ipv4Address> GetTcpPeer(SocketId socket) const;
 
   struct Stats {

@@ -7,6 +7,24 @@
 
 namespace cioserve {
 
+namespace {
+
+// Deficit round-robin: bytes of transport credit each backlogged connection
+// accrues per Poll() round, and the most it may hoard.
+constexpr size_t kDrrQuantumBytes = 4096;
+constexpr size_t kDrrDeficitCap = kDrrQuantumBytes * 8;
+
+// Inbound chunking per connection per round (bounds one client's share of
+// a round even when its pipe is full).
+constexpr size_t kRxChunkBytes = 16384;
+constexpr size_t kMaxRxChunksPerRound = 4;
+
+// A connection stuck in kHandshaking (or kAttesting) longer than this is
+// aborted: a slow handshake holds a table slot, and this bounds the squat.
+constexpr uint64_t kHandshakeTimeoutNs = 2'000'000'000;
+
+}  // namespace
+
 std::string_view ConnStateName(ConnState state) {
   switch (state) {
     case ConnState::kHandshaking:
@@ -53,23 +71,17 @@ ciobase::Status ConfidentialServer::Start() {
   return ciobase::OkStatus();
 }
 
-void ConfidentialServer::AcceptPending() {
+void ConfidentialServer::AcceptConnections() {
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.accept");
-  auto pending = sockets_->AcceptPending(listener_);
-  if (!pending.ok()) {
-    return;
-  }
-  for (size_t i = 0; i < *pending; ++i) {
+  // Accept until nothing is pending: on dual-boundary a round that accepts
+  // N connections costs N+1 crossings, an idle round one.
+  for (;;) {
     auto accepted = sockets_->Accept(listener_);
     if (!accepted.ok()) {
       break;
     }
-    cionet::SocketId socket = *accepted;
-    auto peer = sockets_->Peer(socket);
-    if (!peer.ok()) {
-      (void)sockets_->Abort(socket);
-      continue;
-    }
+    const cionet::SocketId socket = accepted->socket;
+    const cionet::Ipv4Address peer = accepted->peer;
 
     // A fresh connection from an address we already serve is the client's
     // recovery path reconnecting: the server may not have noticed the fault
@@ -78,7 +90,7 @@ void ConfidentialServer::AcceptPending() {
     // then let the reattach branch below pick it up. Erase the stale table
     // entry now — the reattached connection reuses its id.
     for (auto it = connections_.begin(); it != connections_.end(); ++it) {
-      if (it->second.session != nullptr && it->second.peer == *peer &&
+      if (it->second.session != nullptr && it->second.peer == peer &&
           it->second.state != ConnState::kClosed) {
         ParkConnection(it->second);
         ++stats_.closed;
@@ -98,11 +110,11 @@ void ConfidentialServer::AcceptPending() {
 
     Connection conn;
     conn.socket = socket;
-    conn.peer = *peer;
+    conn.peer = peer;
     conn.state = ConnState::kHandshaking;
     conn.opened_ns = clock_->now_ns();
 
-    auto parked = parked_.find(peer->value);
+    auto parked = parked_.find(peer.value);
     if (parked != parked_.end()) {
       // Reattach: the parked Session keeps the sequence numbers and the
       // resend window, so after the TLS restart both sides replay and the
@@ -155,9 +167,8 @@ void ConfidentialServer::CloseAndRelease(Connection& conn) {
 }
 
 bool ConfidentialServer::PumpConnection(Connection& conn) {
-  for (size_t chunk = 0; chunk < config_.max_rx_chunks_per_round; ++chunk) {
-    auto got = sockets_->ReceiveBytes(conn.socket, config_.rx_chunk_bytes,
-                                      rx_scratch_);
+  for (size_t chunk = 0; chunk < kMaxRxChunksPerRound; ++chunk) {
+    auto got = sockets_->ReceiveBytes(conn.socket, kRxChunkBytes, rx_scratch_);
     if (!got.ok()) {
       if (got.status().code() == ciobase::StatusCode::kFailedPrecondition) {
         // Orderly EOF: the client closed on purpose. Finish our side too.
@@ -296,7 +307,6 @@ void ConfidentialServer::FlushOutbound() {
   // connection accrues one quantum per round and sends only while its
   // deficit lasts, so a hot client cannot monopolize the transport's batch
   // slots. Draining connections flush here too, then FIN.
-  const size_t deficit_cap = config_.drr_quantum_bytes * 8;
   // Each connection's slice is queued (on dual-boundary: copied into the
   // submission queue, no boundary crossing), and ONE Flush after the loop
   // carries the whole round's batch.
@@ -319,7 +329,7 @@ void ConfidentialServer::FlushOutbound() {
       continue;
     }
     conn.drr_deficit =
-        std::min(conn.drr_deficit + config_.drr_quantum_bytes, deficit_cap);
+        std::min(conn.drr_deficit + kDrrQuantumBytes, kDrrDeficitCap);
     while (conn.session->HasOutbound() && conn.drr_deficit > 0) {
       const ciobase::Buffer& pending = conn.session->outbound();
       size_t want = std::min(pending.size(), conn.drr_deficit);
@@ -378,7 +388,7 @@ void ConfidentialServer::Poll() {
     return;
   }
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.round");
-  ciobase::Status link = sockets_->Poll();
+  ciobase::Status link = node_->PollStack();
   if (link.code() == ciobase::StatusCode::kTampered) {
     // A forged completion, found by this doorbell or reported again from
     // an earlier one. The entry it stands in for may have carried any
@@ -401,7 +411,7 @@ void ConfidentialServer::Poll() {
   // (kLinkReset: the transport already reattached its ring; TCP
   // retransmission replays the frames that died with it. Nothing to do.)
 
-  AcceptPending();
+  AcceptConnections();
 
   {
     CIO_PROF_SCOPE(node_->costs().profiler(), "server.pump");
@@ -412,7 +422,7 @@ void ConfidentialServer::Poll() {
       }
       if ((conn.state == ConnState::kHandshaking ||
            conn.state == ConnState::kAttesting) &&
-          now - conn.opened_ns > config_.handshake_timeout_ns) {
+          now - conn.opened_ns > kHandshakeTimeoutNs) {
         // A slow handshake squats a table slot; bound the squat. Parked
         // reattach state (if any) stays parked for a genuine retry.
         ParkConnection(conn);

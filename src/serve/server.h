@@ -89,22 +89,9 @@ struct ServerConfig {
   // kResourceExhausted beyond it.
   size_t max_send_queue_bytes = 256 << 10;
 
-  // Deficit round-robin: bytes of transport credit each established
-  // connection accrues per Poll() round.
-  size_t drr_quantum_bytes = 4096;
-
-  // Inbound chunking per connection per round (bounds one client's share
-  // of a round even when its pipe is full).
-  size_t rx_chunk_bytes = 16384;
-  size_t max_rx_chunks_per_round = 4;
-
   // How long a faulted connection's Session stays parked awaiting the
   // client's reconnect before its state (and resend window) is dropped.
   uint64_t reattach_timeout_ns = 500'000'000;
-
-  // A connection stuck in kHandshaking (or kAttesting) longer than this is
-  // aborted (slow handshakes hold a table slot; this bounds the squat).
-  uint64_t handshake_timeout_ns = 2'000'000'000;
 
   // Attestation-gated admission. When enabled, every established channel
   // (including reattaches after a fault) is challenged with a fresh nonce
@@ -237,7 +224,8 @@ class ConfidentialServer {
     ConnId id = 0;
   };
 
-  void AcceptPending();
+  // Accepts (or refuses at the cap) every pending connection.
+  void AcceptConnections();
   // The transport under `conn` died: park its Session for reattach and
   // drop the connection from the table.
   void ParkConnection(Connection& conn);

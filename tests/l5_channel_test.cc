@@ -1,7 +1,8 @@
 // Tests for the L5 single-distrust channel and its async SQ/CQ datapath:
 // trusted-component-allocates semantics, zero-copy submission through the
 // registered slot pool, copy vs revoke vs sealed receive accounting at
-// harvest time, receives that drain harvested bytes without crossing,
+// harvest time, receives that drain harvested bytes without crossing, a
+// close through the SocketLayer that releases the socket's queue state,
 // boundary-kind cost accounting, and the grant-matrix direction (app may
 // touch I/O memory, never vice versa).
 
@@ -76,7 +77,7 @@ struct L5World {
       clock.Advance(5'000);
       auto accepted = l5->Accept(*listening);
       if (accepted.ok()) {
-        server = *accepted;
+        server = accepted->socket;
         break;
       }
     }
@@ -93,18 +94,18 @@ struct L5World {
 
   // Queues `data` and rings the doorbell for it at once.
   ciobase::Result<size_t> Send(cionet::SocketId socket, const Buffer& data) {
-    auto accepted = l5->SubmitStream(socket, data);
+    auto accepted = l5->SendBytes(socket, data);
     if (!accepted.ok()) {
       return accepted;
     }
-    CIO_RETURN_IF_ERROR(l5->Doorbell());
+    CIO_RETURN_IF_ERROR(l5->Flush());
     return accepted;
   }
 
-  // Test sugar over ReceiveOne, which drains what doorbells harvested.
+  // Test sugar over ReceiveBytes, which drains what doorbells harvested.
   ciobase::Result<Buffer> Receive(cionet::SocketId socket, size_t max_bytes) {
     Buffer out;
-    auto got = l5->ReceiveOne(socket, max_bytes, out);
+    auto got = l5->ReceiveBytes(socket, max_bytes, out);
     if (!got.ok()) {
       return got.status();
     }
@@ -204,7 +205,7 @@ TEST(L5Channel, CrossingsAreCountedAndCharged) {
   (void)client;
   uint64_t before = world.l5->stats().crossings;
   (void)world.Send(server, BufferFromString("x"));
-  ASSERT_TRUE(world.l5->Doorbell().ok());
+  ASSERT_TRUE(world.l5->Flush().ok());
   (void)world.Receive(server, 16);
   (void)world.l5->Poll();
   EXPECT_GE(world.l5->stats().crossings, before + 3);
@@ -221,12 +222,12 @@ TEST(L5Channel, BatchedSubmissionSharesOneDoorbell) {
   uint64_t crossings_before = world.l5->stats().crossings;
   Buffer payload(512, 0xab);
   for (int i = 0; i < 8; ++i) {
-    auto accepted = world.l5->SubmitStream(server, payload);
+    auto accepted = world.l5->SendBytes(server, payload);
     ASSERT_TRUE(accepted.ok());
     ASSERT_EQ(*accepted, payload.size());
   }
   EXPECT_EQ(world.l5->stats().crossings, crossings_before);  // no crossing yet
-  ASSERT_TRUE(world.l5->Doorbell().ok());
+  ASSERT_TRUE(world.l5->Flush().ok());
   EXPECT_EQ(world.l5->stats().crossings, crossings_before + 1);
   EXPECT_GE(world.l5->stats().sq_submitted, 8u);
 }
@@ -336,6 +337,31 @@ TEST(L5Channel, SharedCreditServesMoreSocketsThanThePoolHasSlots) {
   }
   EXPECT_EQ(received, expected);
   EXPECT_EQ(receive_crossings, 0u);
+}
+
+TEST(L5Channel, CloseThroughTheSocketLayerReleasesTheSocketsQueueState) {
+  L5World world;
+  auto [server, client] = world.Establish();
+  // The peer never reads: its receive window closes, the I/O stack's send
+  // buffer fills, and the next queued send stays in flight.
+  Buffer chunk(16384, 0x5a);
+  for (int i = 0; i < 200 && !world.l5->SendsInFlight(server); ++i) {
+    (void)world.Send(server, chunk);
+    world.Pump(5);
+  }
+  ASSERT_TRUE(world.l5->SendsInFlight(server));
+  const size_t pool_slots = world.l5->queue_config().pool_slots;
+  ASSERT_LT(world.l5->free_slots(), pool_slots);
+
+  // The engine and the server only ever hold the channel as a SocketLayer.
+  SocketLayer& sockets = *world.l5;
+  ASSERT_TRUE(sockets.Close(server).ok());
+  EXPECT_FALSE(sockets.SendsInFlight(server));
+  // Its queued sends and, as the last open socket, the receive credit:
+  // every slot is back in the pool.
+  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_EQ(world.l5->receive_credit(), 0u);
+  EXPECT_EQ(world.l5->free_slots(), pool_slots);
 }
 
 }  // namespace

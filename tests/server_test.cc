@@ -7,6 +7,8 @@
 //     every server connection share.
 //   * Lifecycle: handshaking -> established -> draining -> closed, echo
 //     across many concurrent clients on every Figure-5 profile corner.
+//   * Accept: on dual-boundary one crossing per accepted connection, plus
+//     one for the accept that finds nothing pending.
 //   * Admission: the 65th connection is refused with an abortive RST; the
 //     probing client fails typed, the table never exceeds its cap.
 //   * Backpressure: Send beyond the queue budget returns
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
@@ -172,6 +175,45 @@ TEST(Server, ManyClientsEchoOnEveryProfile) {
     EXPECT_EQ(world.server->stats().accepted, 12u);
     EXPECT_EQ(world.server->active_connections(), 12u);
   }
+}
+
+TEST(Server, DualBoundaryAcceptCostsOneCrossingPerConnectionPlusOne) {
+  // Accept returns the socket and its peer in one crossing, and the server
+  // accepts until nothing is pending: a round that accepts N connections
+  // crosses N+1 times outside its doorbells, an idle round once.
+  MultiClientWorld::Options options;
+  options.profile = StackProfile::kDualBoundary;
+  options.num_clients = 8;
+  options.seed = 515;
+  MultiClientWorld world(options);
+  ASSERT_TRUE(world.server->Start().ok());
+  for (auto& client : world.clients) {
+    ASSERT_TRUE(
+        client->Connect(world.server_node->ip(), world.server->config().port)
+            .ok());
+  }
+  const cio::L5Channel* l5 = world.server_node->l5();
+  ASSERT_NE(l5, nullptr);
+  uint64_t most_in_one_round = 0;
+  for (int round = 0; round < 20000 && world.server->stats().accepted < 8;
+       ++round) {
+    const uint64_t crossings = l5->stats().crossings;
+    const uint64_t doorbells = l5->stats().doorbells;
+    const uint64_t accepted = world.server->stats().accepted;
+    world.server->Poll();
+    const uint64_t accepts = world.server->stats().accepted - accepted;
+    EXPECT_EQ((l5->stats().crossings - crossings) -
+                  (l5->stats().doorbells - doorbells),
+              accepts + 1)
+        << "round " << round << " accepted " << accepts;
+    most_in_one_round = std::max(most_in_one_round, accepts);
+    for (auto& client : world.clients) {
+      client->Poll();
+    }
+    world.clock.Advance(10'000);
+  }
+  EXPECT_EQ(world.server->stats().accepted, 8u);
+  EXPECT_GE(most_in_one_round, 2u);  // N+1, not 2N+1, for some N > 1
 }
 
 TEST(Server, DrainFlushesThenCloses) {

@@ -156,7 +156,7 @@ struct SqcqWorld {
       clock.Advance(5'000);
       auto accepted = l5->Accept(listener);
       if (accepted.ok()) {
-        server = *accepted;
+        server = accepted->socket;
         break;
       }
     }
@@ -174,7 +174,7 @@ struct SqcqWorld {
   // Copies `payload` into pool slots and queues its SQ entries (no
   // doorbell). False when backpressure accepted less than all of it.
   bool QueuePlain(cionet::SocketId socket, const Buffer& payload) {
-    auto accepted = l5->SubmitStream(socket, payload);
+    auto accepted = l5->SendBytes(socket, payload);
     return accepted.ok() && *accepted == payload.size();
   }
 
@@ -183,7 +183,7 @@ struct SqcqWorld {
     if (!QueuePlain(socket, payload)) {
       return ciobase::ResourceExhausted("submission backpressure");
     }
-    return l5->Doorbell();
+    return l5->Flush();
   }
 
   // Hostile host: write a CQ entry at the published tail and advance it.
@@ -207,7 +207,7 @@ struct SqcqWorld {
     return garbage;
   }
 
-  // The peer sends `bytes` random bytes; doorbells + ReceiveOne collect
+  // The peer sends `bytes` random bytes; doorbells + ReceiveBytes collect
   // what arrives on `socket`. True when all of it arrived intact.
   bool DeliverToApp(cionet::SocketId socket, cionet::SocketId peer,
                     size_t bytes, uint64_t seed) {
@@ -226,10 +226,10 @@ struct SqcqWorld {
         }
       }
       peer_stack->Poll();
-      if (!l5->Doorbell().ok()) {
+      if (!l5->Flush().ok()) {
         return false;
       }
-      auto got = l5->ReceiveOne(socket, 1 << 16, chunk);
+      auto got = l5->ReceiveBytes(socket, 1 << 16, chunk);
       if (!got.ok()) {
         return false;
       }
@@ -280,7 +280,7 @@ TEST(Sqcq, SqFullBackpressuresAndRecoversAfterDoorbell) {
   EXPECT_FALSE(world.QueuePlain(server, payload));
   EXPECT_GE(world.l5->stats().sq_backpressure, 1u);
 
-  EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
+  EXPECT_NE(world.l5->Flush().code(), ciobase::StatusCode::kTampered);
   EXPECT_TRUE(world.QueuePlain(server, payload));
   world.Pump();
   EXPECT_TRUE(Idle(world));
@@ -329,8 +329,8 @@ TEST(Sqcq, CancelSocketReleasesPinnedStateWithoutCrossing) {
   // Receive credit (consumed io-side) and a queued send (published, not
   // yet consumed) pin slots until the cancel.
   Buffer sink;
-  ASSERT_TRUE(world.l5->Doorbell().ok());
-  ASSERT_TRUE(world.l5->ReceiveOne(server, 4096, sink).ok());
+  ASSERT_TRUE(world.l5->Flush().ok());
+  ASSERT_TRUE(world.l5->ReceiveBytes(server, 4096, sink).ok());
   ASSERT_TRUE(world.QueuePlain(server, BufferFromString("never sent")));
   ASSERT_GT(world.l5->in_flight_entries(), 1u);
   crossings = world.l5->stats().crossings;
@@ -343,7 +343,7 @@ TEST(Sqcq, CancelSocketReleasesPinnedStateWithoutCrossing) {
   // The I/O side purged both entries: the next doorbell posts nothing that
   // could reap as an unknown completion.
   uint64_t completions = world.l5->stats().cq_completions;
-  EXPECT_TRUE(world.l5->Doorbell().ok());
+  EXPECT_TRUE(world.l5->Flush().ok());
   EXPECT_EQ(world.l5->stats().cq_completions, completions);
 }
 
@@ -356,7 +356,7 @@ TEST(Sqcq, CancelReturnsHeldCompletionsToTheCredit) {
   auto [quiet, quiet_peer] = world.Establish();
   auto [busy, busy_peer] = world.Establish();
   (void)quiet_peer;
-  ASSERT_TRUE(world.l5->Doorbell().ok());
+  ASSERT_TRUE(world.l5->Flush().ok());
   ASSERT_EQ(world.l5->receive_credit(), 4u);
 
   ciobase::Rng rng(5);
@@ -365,7 +365,7 @@ TEST(Sqcq, CancelReturnsHeldCompletionsToTheCredit) {
   for (int i = 0; i < 50 && world.l5->stats().cq_completions == completions;
        ++i) {
     world.peer_stack->Poll();
-    ASSERT_TRUE(world.l5->Doorbell().ok());
+    ASSERT_TRUE(world.l5->Flush().ok());
     world.clock.Advance(5'000);
   }
   // The doorbell filled all four entries from `busy`; the CQ took two.
@@ -375,8 +375,8 @@ TEST(Sqcq, CancelReturnsHeldCompletionsToTheCredit) {
   // The two held completions name a socket the app no longer has open:
   // posting them would be tampering. They go back to the credit instead.
   world.l5->CancelSocket(busy);
-  EXPECT_TRUE(world.l5->Doorbell().ok());
-  EXPECT_TRUE(world.l5->Doorbell().ok());
+  EXPECT_TRUE(world.l5->Flush().ok());
+  EXPECT_TRUE(world.l5->Flush().ok());
   EXPECT_EQ(world.l5->stats().bytes_received, 1024u);
   // With `quiet` still open the whole credit is armed and unfilled again.
   world.Pump();
@@ -384,7 +384,7 @@ TEST(Sqcq, CancelReturnsHeldCompletionsToTheCredit) {
 
   // Idle channel: every slot is back in the pool.
   world.l5->CancelSocket(quiet);
-  EXPECT_TRUE(world.l5->Doorbell().ok());
+  EXPECT_TRUE(world.l5->Flush().ok());
   EXPECT_EQ(world.l5->in_flight_entries(), 0u);
   EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots);
 }
@@ -410,7 +410,7 @@ TEST(Sqcq, CqOverflowSpillsAndDrainsInOrderWithoutLoss) {
 
   // One doorbell services all eight sends but can only post a CQ window's
   // worth; the rest are held io-side and drain on later doorbells.
-  EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
+  EXPECT_NE(world.l5->Flush().code(), ciobase::StatusCode::kTampered);
   EXPECT_EQ(world.l5->stats().cq_completions, 4u);
   EXPECT_EQ(world.l5->in_flight_entries(), 4u + world.l5->receive_credit());
   world.Pump();
@@ -445,7 +445,7 @@ TEST(Sqcq, CompletionsReapOutOfSubmissionOrderAcrossSockets) {
   Buffer for_a = BufferFromString("first socket, second submit");
   ASSERT_TRUE(world.QueuePlain(server_b, for_b));
   ASSERT_TRUE(world.QueuePlain(server_a, for_a));
-  EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
+  EXPECT_NE(world.l5->Flush().code(), ciobase::StatusCode::kTampered);
   world.Pump();
   EXPECT_TRUE(Idle(world));
 
@@ -526,7 +526,7 @@ TEST(Sqcq, TamperingStaysReportedUntilTheRingIsReset) {
   EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
   uint64_t crossings = world.l5->stats().crossings;
   EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
-  EXPECT_EQ(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
+  EXPECT_EQ(world.l5->Flush().code(), ciobase::StatusCode::kTampered);
   EXPECT_EQ(world.l5->stats().crossings, crossings);
 
   // After the reset the credit is whole again: more bytes than it holds
@@ -543,8 +543,8 @@ TEST(Sqcq, CompletionFieldMismatchesAreTampering) {
   SqcqWorld world;
   auto [server, client] = world.Establish();
   Buffer sink;
-  ASSERT_TRUE(world.l5->Doorbell().ok());
-  auto got = world.l5->ReceiveOne(server, 4096, sink);
+  ASSERT_TRUE(world.l5->Flush().ok());
+  auto got = world.l5->ReceiveBytes(server, 4096, sink);
   ASSERT_TRUE(got.ok());
   ASSERT_GT(world.l5->in_flight_entries(), 0u);
   const L5QueueConfig& config = world.l5->queue_config();
@@ -563,8 +563,8 @@ TEST(Sqcq, CompletionFieldMismatchesAreTampering) {
     SqcqWorld fresh;
     auto [fs, fc] = fresh.Establish();
     Buffer fresh_sink;
-    ASSERT_TRUE(fresh.l5->Doorbell().ok());
-    ASSERT_TRUE(fresh.l5->ReceiveOne(fs, 4096, fresh_sink).ok());
+    ASSERT_TRUE(fresh.l5->Flush().ok());
+    ASSERT_TRUE(fresh.l5->ReceiveBytes(fs, 4096, fresh_sink).ok());
     CqEntry forged;
     forged.op = kSqOpRecv;
     forged.seg_count = 1;
@@ -580,8 +580,8 @@ TEST(Sqcq, CompletionFieldMismatchesAreTampering) {
     SqcqWorld fresh;
     auto [fs, fc] = fresh.Establish();
     Buffer fresh_sink;
-    ASSERT_TRUE(fresh.l5->Doorbell().ok());
-    ASSERT_TRUE(fresh.l5->ReceiveOne(fs, 4096, fresh_sink).ok());
+    ASSERT_TRUE(fresh.l5->Flush().ok());
+    ASSERT_TRUE(fresh.l5->ReceiveBytes(fs, 4096, fresh_sink).ok());
     CqEntry forged;
     forged.op = kSqOpRecv;
     forged.seg_count = 1;
@@ -597,8 +597,8 @@ TEST(Sqcq, CompletionFieldMismatchesAreTampering) {
     SqcqWorld fresh;
     auto [fs, fc] = fresh.Establish();
     Buffer fresh_sink;
-    ASSERT_TRUE(fresh.l5->Doorbell().ok());
-    ASSERT_TRUE(fresh.l5->ReceiveOne(fs, 4096, fresh_sink).ok());
+    ASSERT_TRUE(fresh.l5->Flush().ok());
+    ASSERT_TRUE(fresh.l5->ReceiveBytes(fs, 4096, fresh_sink).ok());
     CqEntry forged;
     forged.op = kSqOpRecv;
     forged.user_data = 1;
@@ -626,7 +626,7 @@ TEST(Sqcq, CompletionNamingAnUnopenedOrCancelledSocketIsTampering) {
   {
     SqcqWorld world;
     auto [server, client] = world.Establish();
-    ASSERT_TRUE(world.l5->Doorbell().ok());
+    ASSERT_TRUE(world.l5->Flush().ok());
     forge(world, server.value + 1000);  // never opened
     EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
   }
@@ -634,7 +634,7 @@ TEST(Sqcq, CompletionNamingAnUnopenedOrCancelledSocketIsTampering) {
     SqcqWorld world;
     cionet::SocketId gone = world.Establish().first;
     (void)world.Establish();  // stays open, so the credit stays armed
-    ASSERT_TRUE(world.l5->Doorbell().ok());
+    ASSERT_TRUE(world.l5->Flush().ok());
     world.l5->CancelSocket(gone);
     forge(world, gone.value);
     EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
@@ -643,7 +643,7 @@ TEST(Sqcq, CompletionNamingAnUnopenedOrCancelledSocketIsTampering) {
     // Control: the same entry naming an open socket reaps cleanly.
     SqcqWorld world;
     auto [server, client] = world.Establish();
-    ASSERT_TRUE(world.l5->Doorbell().ok());
+    ASSERT_TRUE(world.l5->Flush().ok());
     forge(world, server.value);
     EXPECT_TRUE(world.l5->Poll().ok());
   }
