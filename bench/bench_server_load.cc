@@ -22,8 +22,9 @@
 //              complete with ZERO lost messages.
 //
 // A separate admission probe per profile verifies rejections beyond the
-// connection cap are orderly: typed client-side failure, no crash, table
-// bounded; its outcome is reported on each of the profile's rows.
+// connection cap are orderly: typed client-side failure, exactly one
+// refusal per refused client, no crash, table bounded; its outcome is
+// reported on each of the profile's rows.
 //
 // Exit code is the gate (CI runs this in both plain and sanitizer jobs):
 // non-zero when any row fails establishment, completion, fairness,
@@ -228,8 +229,9 @@ struct Admission {
 };
 
 // Small over-capacity probe: 6 clients race for 4 slots. Rejections must
-// be typed client-side failures, the table must stay at the cap, and the
-// admitted majority must keep working.
+// be typed client-side failures, the table must stay at the cap, and each
+// refused client must be refused exactly once: the typed denial stops its
+// reconnect loop.
 Admission RunAdmissionProbe(StackProfile profile) {
   Admission admission;
   MultiClientWorld::Options options;
@@ -265,7 +267,7 @@ Admission RunAdmissionProbe(StackProfile profile) {
   admission.rejected = world.server->stats().rejected_admission;
   admission.orderly = ready == 4 && failed_typed == 2 &&
                       world.server->active_connections() <= 4 &&
-                      admission.rejected >= 2;
+                      admission.rejected == 2;
   return admission;
 }
 

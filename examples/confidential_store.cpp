@@ -4,7 +4,9 @@
 // boundary, and blocks are encrypted again before they cross the block-ring
 // boundary to the host. The demo stores tenant records, survives a
 // remount, shows the host's view is ciphertext, and demonstrates that a
-// tampering filesystem/host is detected rather than believed.
+// tampering filesystem/host is detected rather than believed. Exits
+// non-zero when a store operation fails, the host image holds plaintext, or
+// a corrupted read is believed.
 
 #include <cstdio>
 
@@ -47,10 +49,12 @@ int main() {
   std::printf("store: stored %zu objects\n", store.List().size());
 
   auto record = store.Get("patient-1003");
-  if (record.ok()) {
-    std::printf("store: read back: %s\n",
-                ciobase::StringFromBytes(*record).c_str());
+  if (!record.ok()) {
+    std::printf("store: read back failed\n");
+    return 1;
   }
+  std::printf("store: read back: %s\n",
+              ciobase::StringFromBytes(*record).c_str());
 
   // What does the HOST hold? Scan its raw image for plaintext.
   bool plaintext_found = false;
@@ -82,5 +86,5 @@ int main() {
                   costs.counter("compartment_switches")),
               static_cast<unsigned long long>(costs.counter("bytes_copied")),
               static_cast<unsigned long long>(costs.counter("bytes_aead")));
-  return 0;
+  return plaintext_found || tampered.ok() ? 1 : 0;
 }

@@ -9,6 +9,8 @@
 // The example also plays one attack: mid-workload the host flips to
 // payload corruption; the run demonstrates that operations keep failing
 // *closed* (TLS kills the link) instead of serving corrupted records.
+// Exits non-zero when the link fails to establish, a request before the
+// attack goes unanswered, or a request under the attack is served.
 
 #include <cstdio>
 #include <map>
@@ -117,18 +119,20 @@ int main() {
 
   for (int i = 0; i < 60; ++i) {
     std::string key = "user:" + std::to_string(rng.NextBounded(20));
-    if (rng.NextBool(0.4)) {
-      std::string value = "profile-" + std::to_string(i);
-      ciobase::Buffer response = transact(PutRequest(key, value));
-      if (!response.empty() && response[0] == '+') {
-        ++puts;
-      }
+    const bool put = rng.NextBool(0.4);
+    ciobase::Buffer response =
+        put ? transact(PutRequest(key, "profile-" + std::to_string(i)))
+            : transact(GetRequest(key));
+    if (response.empty()) {
+      std::printf("kv: request %d went unanswered\n", i);
+      return 1;
+    }
+    const bool ok = response[0] == '+';
+    if (put) {
+      puts += ok ? 1 : 0;
     } else {
-      ciobase::Buffer response = transact(GetRequest(key));
       ++gets;
-      if (!response.empty() && response[0] == '+') {
-        ++hits;
-      }
+      hits += ok ? 1 : 0;
     }
   }
   std::printf("kv: workload done: %d puts, %d gets (%d hits)\n", puts, gets,
@@ -149,6 +153,7 @@ int main() {
                 "no forged record was served\n");
   } else {
     std::printf("kv: request unexpectedly succeeded\n");
+    return 1;
   }
   return 0;
 }

@@ -11,6 +11,8 @@
 // contains a banned marker, count the rest through) while a hostile host
 // on segment A runs length-inflation attacks against its RX ring — the
 // masked/clamped transport keeps the middlebox memory-safe throughout.
+// Exits non-zero when nothing crosses the middlebox, a forwarded frame is
+// not delivered, or the middlebox touched memory out of bounds.
 
 #include <cstdio>
 #include <cstring>
@@ -145,17 +147,19 @@ int main() {
     ++delivered;
   }
 
+  const size_t out_of_bounds =
+      mb_in.memory.ViolationCount(ciotee::ViolationKind::kOobRead) +
+      mb_in.memory.ViolationCount(ciotee::ViolationKind::kOobWrite);
   std::printf("middlebox: sent=%d filtered=%d forwarded=%d delivered=%d\n",
               sent, dropped, forwarded, delivered);
   std::printf("middlebox: host ran %llu length-inflation attacks; "
               "out-of-bounds accesses by the middlebox: %zu\n",
               static_cast<unsigned long long>(
                   mb_in.adversary.behavior_count()),
-              mb_in.memory.ViolationCount(ciotee::ViolationKind::kOobRead) +
-                  mb_in.memory.ViolationCount(
-                      ciotee::ViolationKind::kOobWrite));
+              out_of_bounds);
   std::printf("middlebox: frames clamped by the hardened transport: %llu\n",
               static_cast<unsigned long long>(
                   mb_in.transport->stats().rx_clamped_len));
-  return 0;
+  return forwarded > 0 && delivered == forwarded && out_of_bounds == 0 ? 0
+                                                                       : 1;
 }

@@ -5,6 +5,8 @@
 //
 // Build & run:   cmake -B build -G Ninja && cmake --build build
 //                ./build/examples/quickstart
+//
+// Exits non-zero when a link fails to establish or an exchange fails.
 
 #include <cstdio>
 
@@ -25,33 +27,40 @@ StackConfig Node(StackProfile profile, uint32_t id) {
   return config;
 }
 
-void RunExchange(StackProfile profile) {
+bool RunExchange(StackProfile profile) {
   std::printf("=== profile: %s ===\n",
               std::string(StackProfileName(profile)).c_str());
 
   LinkedPair pair(Node(profile, 1), Node(profile, 2));
   if (!pair.Establish()) {
     std::printf("link failed to establish\n");
-    return;
+    return false;
   }
 
   // One request/response exchange, TLS-protected end to end.
   ciobase::Buffer request = ciobase::BufferFromString(
       "GET /tenant-data?id=42");
-  pair.client->SendMessage(request);
   ciobase::Buffer at_server;
-  pair.PumpUntil([&] {
-    auto received = pair.server->ReceiveMessage();
-    if (received.ok()) {
-      at_server = *received;
-      return true;
-    }
-    return false;
-  });
+  bool exchanged =
+      pair.client->SendMessage(request).ok() && pair.PumpUntil([&] {
+        auto received = pair.server->ReceiveMessage();
+        if (received.ok()) {
+          at_server = *received;
+          return true;
+        }
+        return false;
+      });
   std::printf("server received: %s\n",
               ciobase::StringFromBytes(at_server).c_str());
-  pair.server->SendMessage(ciobase::BufferFromString("OK: record 42"));
-  pair.PumpUntil([&] { return pair.client->ReceiveMessage().ok(); });
+  exchanged =
+      exchanged &&
+      pair.server->SendMessage(ciobase::BufferFromString("OK: record 42"))
+          .ok() &&
+      pair.PumpUntil([&] { return pair.client->ReceiveMessage().ok(); });
+  if (!exchanged) {
+    std::printf("request/response exchange failed\n");
+    return false;
+  }
 
   // What did the host learn, and what did the boundary cost?
   auto& observability = pair.client->observability();
@@ -75,17 +84,18 @@ void RunExchange(StackProfile profile) {
                   costs.counter("bytes_copied")));
   std::printf("app TCB: %zu LoC\n\n",
               cio::ProfileTcb(profile).AppTcbLines());
+  return true;
 }
 
 }  // namespace
 
 int main() {
   std::printf("cio quickstart: confidential request/response, two designs\n\n");
-  RunExchange(StackProfile::kDualBoundary);
-  RunExchange(StackProfile::kSyscallL5);
+  bool ok = RunExchange(StackProfile::kDualBoundary);
+  ok = RunExchange(StackProfile::kSyscallL5) && ok;
   std::printf(
       "The dual-boundary profile exposes no call types or message\n"
       "boundaries to the host (network-level observability only) while\n"
       "keeping the application TCB as small as the syscall design.\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -81,7 +81,6 @@ class L2Transport final : public cionet::FramePort {
   // Runtime-selected (not part of L2Config) so the attestation measurement
   // of the wire format is unchanged; it alters accounting, not layout.
   void set_sealed_rx(bool sealed) { sealed_rx_ = sealed; }
-  bool sealed_rx() const { return sealed_rx_; }
 
   // Attestation measurement covering code identity + fixed config.
   ciotee::Measurement Measure() const { return config_.Measure(); }

@@ -438,8 +438,7 @@ void Session::Forget() {
   last_delivered_seq_ = 0;
   records_since_rekey_ = 0;
   bytes_since_rekey_ = 0;
-  started_once_ = false;
-  stats_ = Stats{};
+  started_once_ = false;  // the next Start is a first start, not a restart
 }
 
 }  // namespace cio

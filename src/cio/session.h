@@ -1,6 +1,7 @@
-// Session: the per-connection secure-channel state machine shared by the
-// single-socket ConfidentialNode (src/cio/engine.*) and the multi-tenant
-// ConfidentialServer (src/serve/*).
+// Session: the per-connection secure-channel state machine. Every
+// cio::Connection (src/cio/connection.*) owns one: the single-socket
+// ConfidentialNode runs one Connection, the multi-tenant ConfidentialServer
+// (src/serve/*) one per table entry, parked entries included.
 //
 // One Session owns everything that belongs to exactly one peer relationship
 // and survives transport re-establishment:
@@ -15,12 +16,11 @@
 //   * the rekey policy that ratchets the TLS traffic secrets forward after
 //     a configurable number of records or bytes.
 //
-// It is deliberately byte-oriented and transport-agnostic: the owner moves
-// bytes between outbound() and whatever socket plumbing the stack profile
-// provides, and feeds received bytes to Ingest(). That keeps one
-// implementation of the PR-2 recovery machinery for both the client engine
-// and every server connection — no copy-paste between engine.cc and
-// src/serve/.
+// It is deliberately byte-oriented and transport-agnostic: its Connection
+// moves bytes between outbound() and whatever socket the stack profile
+// provides, and feeds received bytes to Ingest(). The recovery steps
+// (ResetChannel on a fault, Replay after re-establishment) are taken in one
+// place, cio::Connection, for the client engine and every server entry.
 //
 // Migration: SerializeState() captures the durable half of the session
 // (sequence numbers, resend window, undelivered inbox, stats, PSK) in a
@@ -123,7 +123,6 @@ class Session {
   // Queues a sequence-zero control frame ([type u8][body]) on the protected
   // stream. Not resend-window tracked: control is per-transport-incarnation.
   ciobase::Status SendControl(CtrlType type, ciobase::ByteSpan body);
-  bool HasControl() const { return !control_inbox_.empty(); }
   std::optional<ControlMessage> PollControl();
 
   // --- Rekeying --------------------------------------------------------------
@@ -133,8 +132,6 @@ class Session {
   // policy thresholds trip; the KeyUpdate record is queued *behind* the
   // message that tripped it, so record order under the old key is preserved.
   void Rekey();
-  const RekeyPolicy& rekey_policy() const { return rekey_; }
-  void set_rekey_policy(RekeyPolicy policy) { rekey_ = policy; }
   // Ratchet generations of the live TLS session (0 when none).
   uint32_t send_generation() const {
     return tls_ != nullptr ? tls_->send_generation() : 0;
@@ -176,8 +173,9 @@ class Session {
   static ciobase::Result<std::unique_ptr<Session>> Restore(
       ciobase::ByteSpan blob, RekeyPolicy rekey = {});
 
-  // Resets ALL state (sequence numbers, window, stats, channel) so the
-  // object can serve a brand-new peer relationship — churn-style reuse.
+  // Resets the channel, sequence numbers and window so the object can serve
+  // a brand-new peer relationship (churn-style reuse). The stats are
+  // lifetime counters and survive; the next Start is not a TLS restart.
   void Forget();
 
   // In-sim profiler for the owning node ("session.seal"/"session.open"
@@ -187,7 +185,6 @@ class Session {
 
   const Stats& stats() const { return stats_; }
   const ciotls::TlsSession* tls() const { return tls_.get(); }
-  size_t resend_window_size() const { return resend_window_.size(); }
   uint64_t last_delivered_seq() const { return last_delivered_seq_; }
   uint64_t next_send_seq() const { return next_send_seq_; }
 

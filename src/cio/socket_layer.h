@@ -90,6 +90,17 @@ inline ciobase::Result<Accepted> AcceptFrom(cionet::NetStack& stack,
   return Accepted{*socket, *peer};
 }
 
+// ReceiveBytes over a NetStack the caller already reached: `out` holds
+// exactly the bytes received (none on error).
+inline ciobase::Result<size_t> ReceiveFrom(cionet::NetStack& stack,
+                                           cionet::SocketId id, size_t max,
+                                           ciobase::Buffer& out) {
+  out.resize(max);
+  auto got = stack.TcpReceive(id, out);
+  out.resize(got.ok() ? *got : 0);
+  return got;
+}
+
 }  // namespace cio
 
 #endif  // SRC_CIO_SOCKET_LAYER_H_

@@ -43,17 +43,6 @@ std::vector<TcbModule> Pick(std::initializer_list<const char*> names) {
 
 }  // namespace
 
-const std::vector<TcbModule>& ModuleLineCounts() {
-  static const std::vector<TcbModule> counts = [] {
-    std::vector<TcbModule> out;
-    for (const auto& module : kModules) {
-      out.push_back(TcbModule{module.name, module.lines});
-    }
-    return out;
-  }();
-  return counts;
-}
-
 size_t TcbReport::AppTcbLines() const {
   size_t total = 0;
   for (const auto& module : app_tcb) {

@@ -2,12 +2,12 @@
 // trusted computing base under each stack profile — the "TCB" axis of
 // Figure 5.
 //
-// Line counts are measured from this repository (tools/count_loc.sh
-// regenerates them; the table is checked against the live tree by
-// tcb_test.cc within a tolerance, so it cannot silently rot). What matters
-// for the figure is the *ratio* between profiles, which is structural: the
-// dual-boundary and syscall profiles exclude the network stack from the
-// app's TCB; the L2 profiles include it.
+// Line counts are rounded values taken from this repository with
+// tools/count_loc.sh. Nothing checks the table against the live tree yet,
+// so it can drift as the code changes. What matters for the figure is the
+// *ratio* between profiles, which is structural: the dual-boundary and
+// syscall profiles exclude the network stack from the app's TCB; the L2
+// profiles include it.
 
 #ifndef SRC_CIO_TCB_H_
 #define SRC_CIO_TCB_H_
@@ -37,9 +37,6 @@ struct TcbReport {
   size_t IsolatedLines() const;
   std::string ToString() const;
 };
-
-// The per-module line counts used by the reports.
-const std::vector<TcbModule>& ModuleLineCounts();
 
 TcbReport ProfileTcb(StackProfile profile);
 

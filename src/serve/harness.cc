@@ -12,13 +12,26 @@ bool Contains(const std::vector<size_t>& indices, size_t i) {
   return std::find(indices.begin(), indices.end(), i) != indices.end();
 }
 
+// What every node of the world shares: the profile's defaults, one
+// attestation-bound PSK, the rekey thresholds and the campaign's shrunken
+// TCP timers. Seeds are per node so TLS nonces never collide.
+cio::StackConfig NodeConfig(const MultiClientWorld::Options& options,
+                            uint32_t node_id, uint64_t seed) {
+  cio::StackConfig config =
+      cio::StackConfig::DefaultsFor(options.profile, node_id);
+  config.seed = seed;
+  config.psk = ciobase::BufferFromString("attestation-derived-link-key-0001");
+  config.rekey_after_records = options.rekey_after_records;
+  config.rekey_after_bytes = options.rekey_after_bytes;
+  cio::TuneTcpForCampaign(config);
+  return config;
+}
+
 }  // namespace
 
 MultiClientWorld::MultiClientWorld(const Options& options) {
   fabric = std::make_unique<cionet::Fabric>(&clock, options.seed,
                                             options.fabric_options);
-  ciobase::Buffer psk =
-      ciobase::BufferFromString("attestation-derived-link-key-0001");
   attestation_gated_ = !options.attestation_key.empty();
 
   ServerConfig server_opts = options.server_config;
@@ -30,16 +43,10 @@ MultiClientWorld::MultiClientWorld(const Options& options) {
   // Server: node id 1 (IP 10.0.0.1). The stack-level accept backlog must
   // cover a full client herd arriving in one burst; admission control at
   // the server layer is what actually bounds the table.
-  cio::StackConfig server_config =
-      cio::StackConfig::DefaultsFor(options.profile, 1);
-  server_config.seed = options.seed * 1000;
-  server_config.psk = psk;
-  server_config.rekey_after_records = options.rekey_after_records;
-  server_config.rekey_after_bytes = options.rekey_after_bytes;
+  cio::StackConfig server_config = NodeConfig(options, 1, options.seed * 1000);
   server_config.accept_backlog =
       std::max<size_t>(64, options.num_clients + 8);
   server_config.profiler = options.server_profiler;
-  cio::TuneTcpForCampaign(server_config);
   server_node = std::make_unique<cio::ConfidentialNode>(fabric.get(), &clock,
                                                         server_config);
   server = std::make_unique<ConfidentialServer>(server_node.get(), &clock,
@@ -48,14 +55,10 @@ MultiClientWorld::MultiClientWorld(const Options& options) {
   // Second instance (migration target): node id 2 + num_clients, same
   // port, same ServerConfig — a fleet peer, not a different service.
   if (options.second_server) {
-    cio::StackConfig config2 = cio::StackConfig::DefaultsFor(
-        options.profile, static_cast<uint32_t>(2 + options.num_clients));
-    config2.seed = options.seed * 1000 + 500'000;
-    config2.psk = psk;
+    cio::StackConfig config2 =
+        NodeConfig(options, static_cast<uint32_t>(2 + options.num_clients),
+                   options.seed * 1000 + 500'000);
     config2.accept_backlog = server_config.accept_backlog;
-    config2.rekey_after_records = options.rekey_after_records;
-    config2.rekey_after_bytes = options.rekey_after_bytes;
-    cio::TuneTcpForCampaign(config2);
     server2_node = std::make_unique<cio::ConfidentialNode>(fabric.get(),
                                                            &clock, config2);
     server2 = std::make_unique<ConfidentialServer>(server2_node.get(), &clock,
@@ -64,12 +67,9 @@ MultiClientWorld::MultiClientWorld(const Options& options) {
 
   // Clients: node ids 2..N+1 (node id caps at 254, so <= 253 clients).
   for (size_t i = 0; i < options.num_clients; ++i) {
-    cio::StackConfig client_config = cio::StackConfig::DefaultsFor(
-        options.profile, static_cast<uint32_t>(2 + i));
-    client_config.seed = options.seed * 1000 + 7 * (i + 1);
-    client_config.psk = psk;
-    client_config.rekey_after_records = options.rekey_after_records;
-    client_config.rekey_after_bytes = options.rekey_after_bytes;
+    cio::StackConfig client_config =
+        NodeConfig(options, static_cast<uint32_t>(2 + i),
+                   options.seed * 1000 + 7 * (i + 1));
     if (attestation_gated_ && !Contains(options.keyless_clients, i)) {
       client_config.attestation_key =
           Contains(options.forged_clients, i)
@@ -77,7 +77,6 @@ MultiClientWorld::MultiClientWorld(const Options& options) {
               : options.attestation_key;
       client_config.attest_stale_probe = Contains(options.stale_clients, i);
     }
-    cio::TuneTcpForCampaign(client_config);
     clients.push_back(std::make_unique<cio::ConfidentialNode>(
         fabric.get(), &clock, client_config));
   }

@@ -84,7 +84,6 @@ struct MultiClientWorld {
   // transport fault delays an echo but never drops it. Returns messages
   // echoed this round.
   size_t EchoRound();
-  size_t pending_echoes() const { return echo_queue_.size(); }
 
  private:
   struct PendingEcho {

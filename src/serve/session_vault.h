@@ -53,7 +53,6 @@ class SessionVault {
     uint64_t rejected = 0;  // tampered / rolled back / replayed
   };
   const Stats& stats() const { return stats_; }
-  size_t live_epochs() const { return live_epochs_.size(); }
 
  private:
   ciobase::Buffer key_;

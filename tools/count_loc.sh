@@ -6,7 +6,7 @@
 #   tools/count_loc.sh
 #
 # The tcb.cc table stores rounded values and nothing checks it against this
-# script yet (ROADMAP item 3).
+# script yet (ROADMAP item 4).
 
 set -euo pipefail
 
