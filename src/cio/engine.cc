@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 #include "src/base/log.h"
 #include "src/prof/profiler.h"
@@ -58,6 +59,56 @@ class ObservedPort final : public cionet::FramePort {
   ciobase::SimClock* clock_;
 };
 
+// The send queue of the direct-call profiles: SendBytes queues what fits in
+// the socket's free send-buffer space (so backpressure is what a direct
+// TcpSend would apply), and Push hands the queue to the stack. Pushing only
+// after the stack's own Poll is what lets a server queue its egress before
+// the round's poll, as on dual-boundary, without sending ahead of the ACKs
+// that poll ingests.
+class DirectSends {
+ public:
+  explicit DirectSends(cionet::NetStack* stack) : stack_(stack) {}
+
+  ciobase::Result<size_t> Queue(cionet::SocketId id, ciobase::ByteSpan data) {
+    auto space = stack_->TcpSendSpace(id);
+    if (!space.ok()) {
+      return space.status();
+    }
+    ciobase::Buffer& queued = queued_[id.value];
+    const size_t n =
+        std::min(data.size(), *space - std::min(*space, queued.size()));
+    queued.insert(queued.end(), data.begin(), data.begin() + n);
+    if (queued.empty()) {
+      queued_.erase(id.value);
+    }
+    return n;
+  }
+  // A socket that died meanwhile refuses its bytes; the session's resend
+  // window owns delivery, and the receive path reports the fault.
+  void Push() {
+    for (const auto& [socket, bytes] : queued_) {
+      (void)stack_->TcpSend(cionet::SocketId{socket}, bytes);
+    }
+    queued_.clear();
+  }
+  void Push(cionet::SocketId id) {
+    auto it = queued_.find(id.value);
+    if (it != queued_.end()) {
+      (void)stack_->TcpSend(id, it->second);
+      queued_.erase(it);
+    }
+  }
+  bool Pending(cionet::SocketId id) const {
+    return queued_.count(id.value) != 0;
+  }
+  void Cancel(cionet::SocketId id) { queued_.erase(id.value); }
+  void Clear() { queued_.clear(); }
+
+ private:
+  cionet::NetStack* stack_;
+  std::map<uint32_t, ciobase::Buffer> queued_;
+};
+
 }  // namespace
 
 // --- Byte-stream plumbing ------------------------------------------------------
@@ -65,9 +116,13 @@ class ObservedPort final : public cionet::FramePort {
 // Syscall-level I/O (Graphene/SCONE style): the socket lives in the HOST
 // network stack; every data-carrying operation is a host exit with a
 // boundary copy, and its type, arguments, and exact size are host-visible.
+// A send is charged and seen when it is issued (SendBytes); the host stack
+// runs the queued sends on Flush, or on Poll after it has ingested.
 struct ConfidentialNode::SyscallOps final : SocketLayer {
   ConfidentialNode* node;
-  explicit SyscallOps(ConfidentialNode* n) : node(n) {}
+  DirectSends sends;
+  explicit SyscallOps(ConfidentialNode* n)
+      : node(n), sends(n->host_stack_.get()) {}
 
   void RecordCall(const char* name, uint64_t arg) {
     node->observability_.Record(ciohost::ObsCategory::kCallType, 0, name);
@@ -100,11 +155,13 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
   ciobase::Status Close(cionet::SocketId id) override {
     node->costs_.ChargeHostExit();
     RecordCall("close", id.value);
+    sends.Push(id);  // the FIN must not outrun them
     return node->host_stack_->TcpClose(id);
   }
   ciobase::Status Abort(cionet::SocketId id) override {
     node->costs_.ChargeHostExit();
     RecordCall("abort", id.value);
+    sends.Cancel(id);
     return node->host_stack_->TcpAbort(id);
   }
   ciobase::Result<size_t> SendBytes(cionet::SocketId id,
@@ -118,8 +175,16 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
       node->observability_.Record(ciohost::ObsCategory::kPayload,
                                   data.size(), "plaintext visible to host");
     }
-    return node->host_stack_->TcpSend(id, data);
+    return sends.Queue(id, data);
   }
+  ciobase::Status Flush() override {
+    sends.Push();
+    return ciobase::OkStatus();
+  }
+  bool SendsInFlight(cionet::SocketId id) const override {
+    return sends.Pending(id);
+  }
+  void AbandonInFlight() override { sends.Clear(); }
   ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
                                        ciobase::Buffer& out) override {
     auto got = ReceiveFrom(*node->host_stack_, id, max, out);
@@ -136,14 +201,20 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
     }
     return got;
   }
-  ciobase::Status Poll() override { return node->host_stack_->Poll(); }
+  ciobase::Status Poll() override {
+    ciobase::Status link = node->host_stack_->Poll();
+    sends.Push();
+    return link;
+  }
 };
 
 // Guest-owned stack over some FramePort (passthrough / hardened virtio):
 // a single trust domain containing app + TLS + stack + driver.
 struct ConfidentialNode::GuestStackOps final : SocketLayer {
   ConfidentialNode* node;
-  explicit GuestStackOps(ConfidentialNode* n) : node(n) {}
+  DirectSends sends;
+  explicit GuestStackOps(ConfidentialNode* n)
+      : node(n), sends(n->guest_stack_.get()) {}
 
   ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
                                             uint16_t port) override {
@@ -159,20 +230,34 @@ struct ConfidentialNode::GuestStackOps final : SocketLayer {
     return node->guest_stack_->GetTcpState(id);
   }
   ciobase::Status Close(cionet::SocketId id) override {
+    sends.Push(id);  // the FIN must not outrun them
     return node->guest_stack_->TcpClose(id);
   }
   ciobase::Status Abort(cionet::SocketId id) override {
+    sends.Cancel(id);
     return node->guest_stack_->TcpAbort(id);
   }
   ciobase::Result<size_t> SendBytes(cionet::SocketId id,
                                     ciobase::ByteSpan data) override {
-    return node->guest_stack_->TcpSend(id, data);
+    return sends.Queue(id, data);
   }
+  ciobase::Status Flush() override {
+    sends.Push();
+    return ciobase::OkStatus();
+  }
+  bool SendsInFlight(cionet::SocketId id) const override {
+    return sends.Pending(id);
+  }
+  void AbandonInFlight() override { sends.Clear(); }
   ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
                                        ciobase::Buffer& out) override {
     return ReceiveFrom(*node->guest_stack_, id, max, out);
   }
-  ciobase::Status Poll() override { return node->guest_stack_->Poll(); }
+  ciobase::Status Poll() override {
+    ciobase::Status link = node->guest_stack_->Poll();
+    sends.Push();
+    return link;
+  }
 };
 
 // --- ConfidentialNode ------------------------------------------------------------
@@ -454,7 +539,15 @@ void ConfidentialNode::PumpBytes() {
   // steady-state receive path allocates nothing per round.
   switch (conn_.Receive(SIZE_MAX, rx_scratch_)) {
     case Connection::Event::kIdle:
+      break;
     case Connection::Event::kEof:  // the peer closed on purpose: no fault
+      if (listener_.has_value()) {
+        // The peer ended this lifetime: FIN our side and adopt the next
+        // connection, as a new peer relationship.
+        conn_.Close();
+        retired_by_peer_ = true;
+        return;
+      }
       break;
     case Connection::Event::kFault:
       BeginRecovery("connection fault");
@@ -619,10 +712,15 @@ void ConfidentialNode::Poll() {
     }
   }
 
-  // Listen mode: adopt the first pending connection.
+  // Listen mode: adopt the first pending connection; any others wait in
+  // the socket layer until this one ends.
   if (listener_.has_value() && !conn_.has_socket()) {
     auto accepted = ops_->Accept(*listener_);
     if (accepted.ok()) {
+      if (retired_by_peer_) {
+        conn_.session().Forget();  // the old lifetime stayed readable till now
+        retired_by_peer_ = false;
+      }
       conn_.Attach(ops_.get(), accepted->socket, ciotls::TlsRole::kServer,
                    config_.seed + 1);
     }

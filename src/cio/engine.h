@@ -237,6 +237,9 @@ class ConfidentialNode {
   // at most one socket); src/serve/ holds one per table entry instead.
   Connection conn_;
   std::optional<cionet::SocketId> listener_;  // listen mode
+  // Listen mode: the peer closed the last connection on purpose, so the
+  // next one adopted starts a fresh session.
+  bool retired_by_peer_ = false;
   ciobase::Buffer rx_scratch_;  // reusable inbound chunk staging (PumpBytes)
   bool failed_ = false;
 

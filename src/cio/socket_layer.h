@@ -5,7 +5,10 @@
 // compartment (dual-boundary: L5Channel is the SocketLayer).
 // ConfidentialNode drives exactly one socket through it; the multi-tenant
 // ConfidentialServer (src/serve/) multiplexes many. It is the only send
-// path: SendBytes queues, Flush pushes the queue.
+// path, on every profile: SendBytes queues, Flush pushes the queue, and
+// Poll pushes it after the stack has ingested. So a caller may queue a
+// round's egress before the round's Poll and have it leave in that Poll,
+// behind the ACKs it ingests (on dual-boundary: in its one doorbell).
 
 #ifndef SRC_CIO_SOCKET_LAYER_H_
 #define SRC_CIO_SOCKET_LAYER_H_
@@ -31,8 +34,8 @@ class SocketLayer {
                                                     uint16_t port) = 0;
   virtual ciobase::Result<cionet::SocketId> Listen(uint16_t port) = 0;
   // Takes the next pending connection off `listener`, peer address
-  // included: one call (one crossing on dual-boundary), kUnavailable when
-  // nothing is pending.
+  // included; kUnavailable when nothing is pending. On dual-boundary it
+  // crosses nothing: it drains the accept completions Poll harvested.
   virtual ciobase::Result<Accepted> Accept(cionet::SocketId listener) = 0;
   virtual ciobase::Result<cionet::TcpState> State(cionet::SocketId id) = 0;
   // Orderly close (FIN after buffered data); the server's draining state
@@ -43,22 +46,22 @@ class SocketLayer {
   // connection before re-establishing.
   virtual ciobase::Status Abort(cionet::SocketId id) = 0;
   // Queues `data` and returns bytes accepted (possibly 0 under
-  // backpressure). A direct call on the syscall and guest-stack profiles;
-  // on dual-boundary the bytes wait in the submission queue for the next
-  // Flush() or Poll().
+  // backpressure) for the next Flush() or Poll(): on dual-boundary in the
+  // submission queue; on the syscall and guest-stack profiles in a queue
+  // bounded by the socket's free send-buffer space.
   virtual ciobase::Result<size_t> SendBytes(cionet::SocketId id,
                                             ciobase::ByteSpan data) = 0;
-  // Pushes everything SendBytes queued: one doorbell on dual-boundary, a
-  // no-op where SendBytes is already a direct call.
-  virtual ciobase::Status Flush() { return ciobase::OkStatus(); }
+  // Pushes everything SendBytes queued: one doorbell on dual-boundary,
+  // direct stack sends elsewhere.
+  virtual ciobase::Status Flush() = 0;
   // True while bytes SendBytes accepted for `id` have not yet left the
-  // queue; an orderly close waits for them.
-  virtual bool SendsInFlight(cionet::SocketId /*id*/) const { return false; }
-  // Drops everything queued across the boundary, for every socket: link
-  // recovery, and the answer to a Poll or Flush that returned kTampered
-  // (which keeps being returned until this runs). A no-op where nothing is
-  // queued; the sessions' resend windows replay what was dropped.
-  virtual void AbandonInFlight() {}
+  // queue; an orderly close waits for them (Close pushes them first).
+  virtual bool SendsInFlight(cionet::SocketId id) const = 0;
+  // Drops everything queued, for every socket: link recovery, and the
+  // answer to a Poll or Flush that returned kTampered (which keeps being
+  // returned until this runs). The sessions' resend windows replay what was
+  // dropped.
+  virtual void AbandonInFlight() = 0;
   // Fills `out` with the next chunk (capacity reused across calls); returns
   // the byte count — 0 when nothing is pending — kFailedPrecondition at
   // orderly EOF, kLinkReset when the connection died underneath us. Finding
@@ -67,10 +70,10 @@ class SocketLayer {
   // and Flush's doorbells already harvested.
   virtual ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
                                                ciobase::Buffer& out) = 0;
-  // Drives the stack; surfaces the link status (kTimedOut = transport
-  // watchdog exhausted its reset budget, kLinkReset = ring reset this
-  // round). The simulated host devices around it are the node's to poll
-  // (ConfidentialNode::PollStack).
+  // Drives the stack, then pushes what SendBytes queued; surfaces the link
+  // status (kTimedOut = transport watchdog exhausted its reset budget,
+  // kLinkReset = ring reset this round). The simulated host devices around
+  // it are the node's to poll (ConfidentialNode::PollStack).
   virtual ciobase::Status Poll() = 0;
 };
 

@@ -50,6 +50,7 @@ void EncodeCqe(const CqEntry& entry, ciobase::MutableByteSpan out) {
   for (size_t i = 0; i < kSqMaxSegments; ++i) {
     ciobase::StoreLe32(p + 24 + i * 4, entry.seg_len[i]);
   }
+  ciobase::StoreLe32(p + 56, entry.peer);
 }
 
 CqEntry DecodeCqe(ciobase::ByteSpan in) {
@@ -65,6 +66,7 @@ CqEntry DecodeCqe(ciobase::ByteSpan in) {
   for (size_t i = 0; i < kSqMaxSegments; ++i) {
     entry.seg_len[i] = ciobase::LoadLe32(p + 24 + i * 4);
   }
+  entry.peer = ciobase::LoadLe32(p + 56);
   return entry;
 }
 

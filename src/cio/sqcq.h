@@ -5,17 +5,20 @@
 // registered queue region (one long-lived allocation in the I/O heap, next
 // to the sealed-buffer pool, see src/cio/buffer_pool.h):
 //
-//   SQ: the app encodes submission entries (send / arm-receive), each
-//       naming up to kSqMaxSegments scatter-gather segments of registered
-//       pool slots, and publishes a tail counter. One doorbell crossing
-//       per batch consumes everything. Send entries name their socket;
-//       receive entries name none — they are shared receive credit the
-//       I/O side fills from whichever socket has bytes.
+//   SQ: the app encodes submission entries (send / arm-receive / arm-
+//       accept), each naming up to kSqMaxSegments scatter-gather segments
+//       of registered pool slots, and publishes a tail counter. One
+//       doorbell crossing per batch consumes everything. Send entries name
+//       their socket; receive entries name none — they are shared receive
+//       credit the I/O side fills from whichever socket has bytes. An
+//       accept entry names a listener and is multishot: it stays armed and
+//       completes once per new connection.
 //   CQ: the I/O side posts completion entries; the app reaps them lazily,
 //       WITHOUT crossing — completions are validated app-side against the
 //       shadow of what was actually submitted. Every completion carries a
-//       socket word (byte 20): the socket a receive was filled from, or
-//       the socket a send went out on.
+//       socket word (byte 20): the socket a receive was filled from, the
+//       socket a send went out on, or the socket an accept opened (whose
+//       remote address rides in the peer word, byte 56).
 //
 // Trust boundary: the app trusts nothing it reads back from the region.
 // Every CQ field (user_data, epoch, result, per-segment lengths, status
@@ -45,6 +48,7 @@ inline constexpr size_t kSqMaxSegments = 8;
 // Submission opcodes.
 inline constexpr uint8_t kSqOpSend = 1;
 inline constexpr uint8_t kSqOpRecv = 2;
+inline constexpr uint8_t kSqOpAccept = 3;  // multishot, on a listener
 
 // Completion status codes (host-writable: anything else is tampering).
 inline constexpr uint16_t kCqOk = 0;
@@ -80,6 +84,7 @@ struct CqEntry {
   uint32_t epoch = 0;
   uint32_t socket = 0;  // the send's own socket, or an open one for a receive
   uint32_t seg_len[kSqMaxSegments] = {};
+  uint32_t peer = 0;  // accept: the new connection's remote IPv4 address
 };
 
 // Geometry + validation of the queue region knobs. Also carried in

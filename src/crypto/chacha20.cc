@@ -65,26 +65,24 @@ inline void BlockFromState(const uint32_t state[16],
 
 inline constexpr int kLanes = 4;
 
-// One quarter-round across 4 independent blocks (SIMD-within-registers: each
-// statement is a 4-wide lane loop the compiler can vectorize).
-inline void QuarterRound4(uint32_t a[kLanes], uint32_t b[kLanes],
-                          uint32_t c[kLanes], uint32_t d[kLanes]) {
-  for (int l = 0; l < kLanes; ++l) {
-    a[l] += b[l];
-    d[l] = RotL32(d[l] ^ a[l], 16);
-  }
-  for (int l = 0; l < kLanes; ++l) {
-    c[l] += d[l];
-    b[l] = RotL32(b[l] ^ c[l], 12);
-  }
-  for (int l = 0; l < kLanes; ++l) {
-    a[l] += b[l];
-    d[l] = RotL32(d[l] ^ a[l], 8);
-  }
-  for (int l = 0; l < kLanes; ++l) {
-    c[l] += d[l];
-    b[l] = RotL32(b[l] ^ c[l], 7);
-  }
+// Four 32-bit lanes in one 128-bit register (GCC/Clang vector extension):
+// lane l of every word belongs to block counter + l. The arithmetic below is
+// written on whole vectors, so the generated code is SIMD at every
+// optimisation level instead of depending on the auto-vectorizer.
+typedef uint32_t U32x4 __attribute__((vector_size(16)));
+
+inline U32x4 RotL4(U32x4 x, int n) { return (x << n) | (x >> (32 - n)); }
+
+// One quarter-round across 4 independent blocks.
+inline void QuarterRound4(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
+  a += b;
+  d = RotL4(d ^ a, 16);
+  c += d;
+  b = RotL4(b ^ c, 12);
+  a += b;
+  d = RotL4(d ^ a, 8);
+  c += d;
+  b = RotL4(b ^ c, 7);
 }
 
 // Generates 4 consecutive keystream blocks (counters counter..counter+3, each
@@ -92,14 +90,14 @@ inline void QuarterRound4(uint32_t a[kLanes], uint32_t b[kLanes],
 // out[0..255]. Lane-major layout: v[word][lane].
 inline void Blocks4(const uint32_t state[16], uint32_t counter,
                     uint8_t out[kLanes * kChaCha20BlockSize]) {
-  uint32_t v[16][kLanes];
+  U32x4 init[16];
   for (int i = 0; i < 16; ++i) {
-    for (int l = 0; l < kLanes; ++l) {
-      v[i][l] = state[i];
-    }
+    init[i] = U32x4{state[i], state[i], state[i], state[i]};
   }
-  for (int l = 0; l < kLanes; ++l) {
-    v[12][l] = counter + static_cast<uint32_t>(l);
+  init[12] = U32x4{counter, counter + 1, counter + 2, counter + 3};
+  U32x4 v[16];
+  for (int i = 0; i < 16; ++i) {
+    v[i] = init[i];
   }
   for (int round = 0; round < 10; ++round) {
     QuarterRound4(v[0], v[4], v[8], v[12]);
@@ -111,11 +109,13 @@ inline void Blocks4(const uint32_t state[16], uint32_t counter,
     QuarterRound4(v[2], v[7], v[8], v[13]);
     QuarterRound4(v[3], v[4], v[9], v[14]);
   }
+  for (int i = 0; i < 16; ++i) {
+    v[i] += init[i];
+  }
   for (int l = 0; l < kLanes; ++l) {
     uint8_t* block = out + static_cast<size_t>(l) * kChaCha20BlockSize;
     for (int i = 0; i < 16; ++i) {
-      uint32_t init = i == 12 ? counter + static_cast<uint32_t>(l) : state[i];
-      ciobase::StoreLe32(block + i * 4, v[i][l] + init);
+      ciobase::StoreLe32(block + i * 4, v[i][l]);
     }
   }
 }

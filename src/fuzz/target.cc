@@ -84,12 +84,16 @@ class NetTarget final : public FuzzTarget {
     std::vector<TargetWindow> specs;
     if (profile_ == StackProfile::kDualBoundary) {
       // Dual-boundary is the only profile on the L2 ring transport; it adds
-      // the in-guest L5 SQ/CQ window on top.
+      // the in-guest L5 SQ/CQ window on top: the client's, and the
+      // listening server's, whose SQ holds the multishot accept entry and
+      // whose CQ takes the accept completions.
       specs.push_back(Spec("l2.counters", 256, 8));
       specs.push_back(Spec("l2.rings", 1 << 16, 4));
       specs.push_back(Spec("l5.ctrl", 64, 8));
       specs.push_back(Spec("l5.cq", 4096, 4));
       specs.push_back(Spec("l5.all", 1 << 16, 1));
+      specs.push_back(Spec("l5.server.sq", 4096, 2));
+      specs.push_back(Spec("l5.server.cq", 4096, 2));
     } else {
       // passthrough-l2 / hardened-virtio / tunneled-l2 all ride the virtio
       // region: config words [0,64), then descriptor tables, avail/used
@@ -140,14 +144,12 @@ class NetTarget final : public FuzzTarget {
       return result;
     }
 
-    std::vector<TargetWindow> windows = BindWindows(client);
+    std::vector<TargetWindow> windows = BindWindows(client, server);
 
     size_t violations_before =
         GuestViolations(client.memory()) + GuestViolations(server.memory());
-    size_t compartment_before = 0;
-    if (client.compartments() != nullptr) {
-      compartment_before = client.compartments()->violations().size();
-    }
+    size_t compartment_before =
+        CompartmentViolations(client) + CompartmentViolations(server);
 
     // Deterministic payloads (a function of the seed only).
     ciobase::Rng payload_rng(options.seed * 7919 + 3);
@@ -239,10 +241,8 @@ class NetTarget final : public FuzzTarget {
 
     size_t violations_after =
         GuestViolations(client.memory()) + GuestViolations(server.memory());
-    size_t compartment_after = 0;
-    if (client.compartments() != nullptr) {
-      compartment_after = client.compartments()->violations().size();
-    }
+    size_t compartment_after =
+        CompartmentViolations(client) + CompartmentViolations(server);
     size_t corrupted = cio::CorruptedCount(to_send, server_received) +
                        cio::CorruptedCount(to_send, client_received);
 
@@ -273,7 +273,16 @@ class NetTarget final : public FuzzTarget {
     return input.steps.size();
   }
 
-  std::vector<TargetWindow> BindWindows(cio::ConfidentialNode& node) const {
+  static size_t CompartmentViolations(cio::ConfidentialNode& node) {
+    return node.compartments() != nullptr
+               ? node.compartments()->violations().size()
+               : 0;
+  }
+
+  // Binds every window to the client's regions, except the l5.server.*
+  // windows, which take the server's L5 queue region.
+  std::vector<TargetWindow> BindWindows(cio::ConfidentialNode& node,
+                                        cio::ConfidentialNode& server) const {
     std::vector<TargetWindow> windows = WindowSpecs();
     for (TargetWindow& window : windows) {
       if (window.name == "l2.counters") {
@@ -298,6 +307,17 @@ class NetTarget final : public FuzzTarget {
                                      geometry.cq_entries * cio::kCqeSize);
         } else if (window.name == "l5.all") {
           window.raw = queue;
+        } else if (server.l5() != nullptr) {
+          ciobase::MutableByteSpan theirs =
+              server.l5()->queue_region_for_test();
+          const cio::L5QueueConfig& layout = server.config().l5_queue;
+          if (window.name == "l5.server.sq") {
+            window.raw = theirs.subspan(layout.SqOffset(),
+                                        layout.sq_entries * cio::kSqeSize);
+          } else if (window.name == "l5.server.cq") {
+            window.raw = theirs.subspan(layout.CqOffset(),
+                                        layout.cq_entries * cio::kCqeSize);
+          }
         }
         window.length = window.raw.size();
       }

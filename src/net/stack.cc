@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "src/base/log.h"
 #include "src/prof/profiler.h"
 
 namespace cionet {
@@ -99,17 +98,13 @@ void NetStack::SendFrameTo(MacAddress dst, uint16_t ether_type,
   eth.Serialize(frame);
   ciobase::Append(frame, payload);
   ++stats_.frames_tx;
-  if (tx_batch_depth_ > 0) {
-    // A batch is open: stage the frame; FlushTxBatch hands the whole run to
-    // the port in one SendFrames call.
-    tx_staged_.push_back(std::move(frame));
-    return;
+  // Staged: FlushTxBatch hands the whole run to the port in one SendFrames
+  // call when the outermost batch closes (at once when none is open), after
+  // any frames the port refused earlier.
+  tx_staged_.push_back(std::move(frame));
+  if (tx_batch_depth_ == 0) {
+    FlushTxBatch();
   }
-  ciobase::Status status = SendOne(*port_, frame);
-  if (!status.ok()) {
-    CIO_LOG(kDebug) << "SendOne failed: " << status.ToString();
-  }
-  tx_arena_.Release(std::move(frame));
 }
 
 void NetStack::FlushTxBatch() {
@@ -124,24 +119,32 @@ void NetStack::FlushTxBatch() {
   while (offset < tx_spans_.size()) {
     ciobase::Result<size_t> sent = port_->SendFrames(
         std::span<const ciobase::ByteSpan>(tx_spans_).subspan(offset));
-    if (!sent.ok()) {
-      // The port rejected the next frame without progress (ring full, link
-      // dead): drop the remainder, like per-frame sends failing. TCP
-      // retransmission replays whatever mattered.
-      CIO_LOG(kDebug) << "SendFrames dropped "
-                      << (tx_spans_.size() - offset) << " staged frames: "
-                      << sent.status().ToString();
-      break;
+    if (!sent.ok() &&
+        sent.status().code() == ciobase::StatusCode::kInvalidArgument) {
+      ++stats_.tx_dropped;  // a frame the port can never take
+      ++offset;
+      continue;
     }
-    if (*sent == 0) {
-      break;
+    if (!sent.ok() || *sent == 0) {
+      break;  // ring full or link down: the rest waits for the next flush
     }
     offset += *sent;
   }
-  for (ciobase::Buffer& frame : tx_staged_) {
-    tx_arena_.Release(std::move(frame));
+  for (size_t i = 0; i < offset; ++i) {
+    tx_arena_.Release(std::move(tx_staged_[i]));
   }
-  tx_staged_.clear();
+  tx_staged_.erase(tx_staged_.begin(),
+                   tx_staged_.begin() + static_cast<long>(offset));
+  // What the port refused stays staged, oldest first, and leads the next
+  // flush (the next Poll at the latest) — across ring resets too. Dropping
+  // it would leave TCP to replay it after a backed-off RTO. Past
+  // kTxRetryFrames the newest are dropped, and retransmission covers them.
+  stats_.tx_deferred += tx_staged_.size();
+  while (tx_staged_.size() > kTxRetryFrames) {
+    ++stats_.tx_dropped;
+    tx_arena_.Release(std::move(tx_staged_.back()));
+    tx_staged_.pop_back();
+  }
 }
 
 void NetStack::SendIpv4(Ipv4Address dst, uint8_t protocol,

@@ -131,6 +131,11 @@ class NetStack {
     uint64_t accept_overflows = 0;  // SYNs refused: accept queue full
     uint64_t link_resets = 0;    // port returned kLinkReset
     uint64_t link_timeouts = 0;  // port returned kTimedOut
+    // Frames the port refused (ring full, link down), summed over flushes:
+    // each stays staged for the next flush. Past kTxRetryFrames the newest
+    // are dropped instead (tx_dropped) and TCP retransmits them.
+    uint64_t tx_deferred = 0;
+    uint64_t tx_dropped = 0;
     // Connections visited by Poll()'s per-round timer/output walk, summed
     // over rounds. App-closed TIME_WAIT connections are not visited.
     uint64_t tcp_conn_polls = 0;
@@ -187,7 +192,8 @@ class NetStack {
   // frames instead of sending them; closing the outermost batch hands the
   // whole run to port_->SendFrames() — one host-counter read and one
   // doorbell per batch on ring-backed ports. Poll() and FlushTcpOutput()
-  // open batches; nesting collapses to the outermost scope.
+  // open batches; nesting collapses to the outermost scope. Frames the port
+  // refuses stay staged (at most kTxRetryFrames) and go first next time.
   void FlushTxBatch();
 
   FramePort* port_;
@@ -223,6 +229,7 @@ class NetStack {
   // and Poll). kRxBatchFrames bounds how many frames one ReceiveFrames call
   // may hand us before we dispatch them.
   static constexpr size_t kRxBatchFrames = 32;
+  static constexpr size_t kTxRetryFrames = 256;
   FrameBatch rx_batch_;
   ciobase::FrameArena tx_arena_;
   std::vector<ciobase::Buffer> tx_staged_;

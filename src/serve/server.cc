@@ -80,9 +80,9 @@ void ConfidentialServer::DiscardParked(cionet::Ipv4Address peer) {
 }
 
 void ConfidentialServer::AcceptConnections() {
-  CIO_PROF_SCOPE(node_->costs().profiler(), "server.accept");
-  // Accept until nothing is pending: on dual-boundary a round that accepts
-  // N connections costs N+1 crossings, an idle round one.
+  // Accept until nothing is pending. On dual-boundary this crosses nothing:
+  // the round's doorbell already harvested one accept completion per new
+  // connection.
   for (;;) {
     auto accepted = sockets_->Accept(listener_);
     if (!accepted.ok()) {
@@ -286,16 +286,15 @@ void ConfidentialServer::PumpAdmission(Entry& entry) {
   }
 }
 
-void ConfidentialServer::FlushOutbound() {
+void ConfidentialServer::QueueEgress() {
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.egress");
   // Deficit round-robin over everyone with queued output: each backlogged
   // connection accrues one quantum per round and sends only while its
   // deficit lasts, so a hot client cannot monopolize the transport's batch
   // slots. Draining connections flush here too, then FIN.
-  // Each connection's slice is queued (on dual-boundary: copied into the
-  // submission queue, no boundary crossing), and ONE Flush after the loop
-  // carries the whole round's batch.
-  bool submitted = false;
+  // Each connection's slice is only queued (on dual-boundary: copied into
+  // the submission queue, no boundary crossing); the round's PollStack
+  // pushes the whole batch after the stack has ingested.
   for (auto& [id, entry] : connections_) {
     if (!entry.live()) {
       continue;
@@ -307,7 +306,6 @@ void ConfidentialServer::FlushOutbound() {
           entry.link.Push(entry.drr_deficit, /*flush_each=*/false);
       // Backpressure keeps the rest of the deficit for the next round.
       entry.drr_deficit -= pushed.bytes;
-      submitted |= pushed.bytes > 0;
       if (pushed.failed) {
         ParkConnection(entry);
         continue;
@@ -325,11 +323,6 @@ void ConfidentialServer::FlushOutbound() {
       entry.link.Close();
       entry.state = ConnState::kClosed;
     }
-  }
-  if (submitted) {
-    // The flush only needs to push the batch: a forged completion it finds
-    // is reported again by the next round's Poll, which recovers from it.
-    (void)sockets_->Flush();
   }
 }
 
@@ -358,12 +351,16 @@ void ConfidentialServer::Poll() {
     return;
   }
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.round");
+  // Egress first: the replies queued since the last round (by Send, and by
+  // the last round's pumps) ride this round's one doorbell, and its
+  // trailing device poll puts them on the fabric in this same round.
+  QueueEgress();
   ciobase::Status link = node_->PollStack();
   if (link.code() == ciobase::StatusCode::kTampered) {
     // A forged completion, found by this doorbell or reported again from
     // an earlier one. The entry it stands in for may have carried any
-    // connection's bytes or receive credit, so reset the rings and park
-    // every connection below: each client reattaches and replays its
+    // connection's bytes, receive credit or accept, so reset the rings and
+    // park every connection below: each client reattaches and replays its
     // resend window.
     sockets_->AbandonInFlight();
   }
@@ -403,8 +400,8 @@ void ConfidentialServer::Poll() {
       PumpConnection(entry);
     }
   }
-
-  FlushOutbound();
+  // What the pumps produced (handshake flights, admission verdicts) is
+  // queued by the next round's egress pass and rides its doorbell.
   Reap();
 }
 
@@ -453,7 +450,7 @@ ciobase::Status ConfidentialServer::Drain(ConnId id) {
       entry->state != ConnState::kHandshaking) {
     return ciobase::OkStatus();  // already draining
   }
-  entry->state = ConnState::kDraining;  // flush, then FIN (FlushOutbound)
+  entry->state = ConnState::kDraining;  // flush, then FIN (QueueEgress)
   return ciobase::OkStatus();
 }
 
@@ -510,7 +507,7 @@ ciobase::Result<ciobase::Buffer> ConfidentialServer::MigrateSession(
   (void)session.SendControl(cio::CtrlType::kRedirect, redirect);
   // From here this instance is no longer authoritative for the session: no
   // new application sends, no inbox delivery, just the redirect flushing
-  // and the socket closing (FlushOutbound). The session is never parked —
+  // and the socket closing (QueueEgress). The session is never parked —
   // the sealed export is the only continuation.
   entry->state = ConnState::kMigrating;
   ++stats_.migrated_out;

@@ -15,10 +15,13 @@
 //    same ones the single-socket engine takes — one implementation, two
 //    owners.
 //
-//  * One poll loop. One Poll() drives the transport once, then pumps every
-//    live connection. There is no readiness query: a receive that finds
-//    nothing costs nothing, and on dual-boundary it only drains bytes the
-//    round's doorbell already harvested into the L5 completion queue.
+//  * One poll loop. One Poll() queues the round's egress, drives the
+//    transport once, then accepts and pumps every live connection. There is
+//    no readiness query: a receive or an accept that finds nothing costs
+//    nothing. On dual-boundary the round's one doorbell submits the queued
+//    replies, and receives and accepts only drain what it harvested into
+//    the L5 completion queue: a steady round crosses into the I/O
+//    compartment exactly once.
 //
 //  * Fair scheduling. Outbound transport capacity is shared by deficit
 //    round-robin: each established connection accrues a byte quantum per
@@ -261,7 +264,8 @@ class ConfidentialServer {
   Entry* FindPeer(cionet::Ipv4Address peer, bool parked);
   // Keeps at most one parked entry per peer: drops the older one.
   void DiscardParked(cionet::Ipv4Address peer);
-  // Accepts (or refuses at the cap) every pending connection.
+  // Accepts (or refuses at the cap) every pending connection; on
+  // dual-boundary it drains the accept completions the doorbell harvested.
   void AcceptConnections();
   // The transport under `entry` died: drop its socket and park it for the
   // client's reattach, or close it when nothing is worth recovering.
@@ -279,7 +283,9 @@ class ConfidentialServer {
                                ciobase::ByteSpan report_bytes) const;
   // kAttesting: consume the client's report and admit or deny.
   void PumpAdmission(Entry& entry);
-  void FlushOutbound();  // DRR pass over connections with queued output
+  // DRR pass over connections with queued output: queues each one's slice
+  // for the round's doorbell, and closes drained connections.
+  void QueueEgress();
   void Reap();           // drop closed entries, expire parked ones
   // The live (not parked, not closed) entry `id`, or null.
   Entry* Live(ConnId id);

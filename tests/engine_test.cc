@@ -76,6 +76,22 @@ TEST_P(ProfileTest, SendBeforeReadyRefused) {
   EXPECT_FALSE(pair.client->SendMessage(BufferFromString("early")).ok());
 }
 
+TEST_P(ProfileTest, ListenerAdoptsTheNextLifetimeAfterDisconnect) {
+  // The client ends its lifetime on purpose and starts a new one: the
+  // listening node closes the old socket on the orderly EOF and adopts the
+  // next connection with a fresh session, so the second lifetime comes up
+  // on both sides and carries messages.
+  LinkedPair pair(Options(GetParam(), 1), Options(GetParam(), 2));
+  ASSERT_TRUE(pair.Establish());
+  RoundTrip(pair, 1, 300);
+  ASSERT_TRUE(pair.client->Disconnect().ok());
+  ASSERT_TRUE(pair.client->Connect(pair.server->ip(), 443).ok());
+  ASSERT_TRUE(pair.PumpUntil(
+      [&] { return pair.client->Ready() && pair.server->Ready(); }))
+      << StackProfileName(GetParam());
+  RoundTrip(pair, 2, 300);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllProfiles, ProfileTest,
     ::testing::Values(StackProfile::kSyscallL5, StackProfile::kPassthroughL2,

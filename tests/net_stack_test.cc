@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -237,6 +239,86 @@ TEST(Fabric, BroadcastFloodsAllOthers) {
   EXPECT_TRUE(cionet::ReceiveOne(b).ok());
   EXPECT_TRUE(cionet::ReceiveOne(c).ok());
   EXPECT_FALSE(cionet::ReceiveOne(a).ok());  // not echoed to the sender
+}
+
+// A port that turns every frame away while `refusing`, as a full TX ring
+// does, and otherwise passes through.
+class RefusingPort final : public cionet::FramePort {
+ public:
+  explicit RefusingPort(cionet::FramePort* inner) : inner_(inner) {}
+  bool refusing = false;
+
+  ciobase::Result<size_t> SendFrames(
+      std::span<const ciobase::ByteSpan> frames) override {
+    if (refusing) {
+      return ciobase::ResourceExhausted("tx ring full");
+    }
+    return inner_->SendFrames(frames);
+  }
+  ciobase::Result<size_t> ReceiveFrames(cionet::FrameBatch& batch,
+                                        size_t max_frames) override {
+    return inner_->ReceiveFrames(batch, max_frames);
+  }
+  cionet::MacAddress mac() const override { return inner_->mac(); }
+  uint16_t mtu() const override { return inner_->mtu(); }
+
+ private:
+  cionet::FramePort* inner_;
+};
+
+TEST(TcpStack, FramesTheTxRingRefusedLeaveAtTheNextPoll) {
+  // Host A's port refuses a burst of data segments, then accepts again.
+  // The refused frames stay staged and leave at A's next poll: the data
+  // arrives within microseconds, with no RTO timeout (200 ms initial)
+  // and no retransmission.
+  TwoHostWorld world;
+  RefusingPort gate(world.port_a.get());
+  cionet::NetStack::Config config;
+  config.ip = cionet::Ipv4Address::FromOctets(10, 0, 0, 1);
+  config.seed = 101;
+  world.stack_a = std::make_unique<cionet::NetStack>(&gate, &world.clock,
+                                                     config);
+  auto listener = world.stack_b->TcpListen(80);
+  ASSERT_TRUE(listener.ok());
+  auto client = world.stack_a->TcpConnect(world.stack_b->ip(), 80);
+  ASSERT_TRUE(client.ok());
+  std::optional<SocketId> server;
+  ASSERT_TRUE(world.PumpUntil([&] {
+    auto accepted = world.stack_b->TcpAccept(*listener);
+    if (accepted.ok()) {
+      server = *accepted;
+    }
+    return server.has_value() && world.stack_a->GetTcpState(*client).value() ==
+                                     TcpState::kEstablished;
+  }));
+
+  gate.refusing = true;
+  Buffer data = ciobase::Rng(7).Bytes(4000);  // three full segments
+  auto queued = world.stack_a->TcpSend(*client, data);
+  ASSERT_TRUE(queued.ok());
+  ASSERT_EQ(*queued, data.size());
+  world.stack_a->Poll();
+  EXPECT_GT(world.stack_a->stats().tx_deferred, 0u);
+  gate.refusing = false;
+
+  Buffer received;
+  Buffer chunk(8192, 0);
+  ASSERT_TRUE(world.PumpUntil(
+      [&] {
+        auto got = world.stack_b->TcpReceive(*server, chunk);
+        if (got.ok()) {
+          received.insert(received.end(), chunk.begin(),
+                          chunk.begin() + static_cast<long>(*got));
+        }
+        return received.size() == data.size();
+      },
+      /*max_rounds=*/20));
+  EXPECT_EQ(received, data);
+  auto stats = world.stack_a->GetTcpStats(*client);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->timeouts, 0u);
+  EXPECT_EQ(stats->retransmissions, 0u);
+  EXPECT_EQ(world.stack_a->stats().tx_dropped, 0u);
 }
 
 TEST(TcpStack, ListenerBacklogOverflowRefusesTypedAndCounts) {
