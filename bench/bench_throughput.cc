@@ -1,6 +1,6 @@
 // End-to-end throughput and per-message latency across stack profiles and
-// message sizes (TCP + TLS, modeled clock). Complements fig5_design_space
-// with the size sweep.
+// message sizes (TCP + TLS, modeled clock). Complements paper_claims'
+// Figure 5 run with the size sweep.
 //
 // Two arms per (profile, size) cell:
 //   throughput  — burst submission (8 messages per round share one

@@ -127,41 +127,6 @@ inline TimedTransferResult BurstTransfer(cio::LinkedPair& pair, size_t count,
   return result;
 }
 
-// Round-trip latency: one small message each way, repeated; returns the
-// average modeled RTT in ns.
-inline double PingPongRtt(cio::LinkedPair& pair, size_t rounds,
-                          size_t size = 64) {
-  ciobase::Rng rng(2);
-  ciobase::Buffer ping = rng.Bytes(size);
-  uint64_t start_ns = pair.clock.now_ns();
-  size_t completed = 0;
-  bool in_flight = false;
-  pair.PumpUntil(
-      [&] {
-        if (!in_flight) {
-          if (pair.client->SendMessage(ping).ok()) {
-            in_flight = true;
-          }
-          return false;
-        }
-        auto at_server = pair.server->ReceiveMessage();
-        if (at_server.ok()) {
-          pair.server->SendMessage(*at_server);
-        }
-        if (pair.client->ReceiveMessage().ok()) {
-          ++completed;
-          in_flight = false;
-        }
-        return completed == rounds;
-      },
-      2'000'000, 2'000);
-  if (completed == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(pair.clock.now_ns() - start_ns) /
-         static_cast<double>(completed);
-}
-
 }  // namespace ciobench
 
 #endif  // BENCH_BENCH_UTIL_H_

@@ -50,8 +50,7 @@ struct L2Endpoint {
     device = std::make_unique<L2HostDevice>(shared.get(), config, fabric,
                                             "ep-" + std::to_string(id),
                                             &adversary, &observability, clock);
-    transport = std::make_unique<L2Transport>(shared.get(), config, costs,
-                                              nullptr);
+    transport = std::make_unique<L2Transport>(shared.get(), config, costs);
   }
 };
 

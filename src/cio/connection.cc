@@ -14,19 +14,8 @@ void Connection::Attach(SocketLayer* sockets, cionet::SocketId socket,
                         ciotls::TlsRole role, uint64_t seed) {
   sockets_ = sockets;
   socket_ = socket;
-  link_ = role == ciotls::TlsRole::kServer ? Link::kUp : Link::kConnecting;
+  attached_ = true;
   session_->Start(role, seed);
-}
-
-bool Connection::AwaitTransport() {
-  if (link_ != Link::kConnecting) {
-    return true;
-  }
-  auto state = sockets_->State(socket_);
-  if (state.ok() && *state == cionet::TcpState::kEstablished) {
-    link_ = Link::kUp;
-  }
-  return !state.ok() || *state != cionet::TcpState::kClosed;
 }
 
 Connection::Event Connection::Receive(size_t max_chunks,
@@ -53,7 +42,7 @@ Connection::Event Connection::Receive(size_t max_chunks,
 
 Connection::Pushed Connection::Push(size_t budget, bool flush_each) {
   Pushed pushed;
-  while (link_ != Link::kNone && session_->HasOutbound() && budget > 0) {
+  while (attached_ && session_->HasOutbound() && budget > 0) {
     const ciobase::Buffer& pending = session_->outbound();
     auto sent = sockets_->SendBytes(
         socket_, ciobase::ByteSpan(pending.data(),
@@ -77,10 +66,10 @@ Connection::Pushed Connection::Push(size_t budget, bool flush_each) {
 }
 
 void Connection::Drop() {
-  if (link_ != Link::kNone) {
+  if (attached_) {
     (void)sockets_->Abort(socket_);
   }
-  link_ = Link::kNone;
+  attached_ = false;
   session_->ResetChannel();
   replay_due_ = true;
 }
@@ -95,11 +84,11 @@ bool Connection::ReplayIfReestablished() {
 }
 
 void Connection::Close() {
-  if (link_ != Link::kNone) {
+  if (attached_) {
     // Close releases whatever queue state the socket still pins.
     (void)sockets_->Close(socket_);
   }
-  link_ = Link::kNone;
+  attached_ = false;
   replay_due_ = false;
 }
 

@@ -48,17 +48,11 @@ class Connection {
       : session_(std::move(session)) {}
 
   // Takes `socket` (of `sockets`) and starts the session's TLS in `role`.
-  // An accepted socket (server role) is established already; a connecting
-  // one (client role) waits for AwaitTransport.
+  // A connecting socket (client role) takes the ClientHello at once; a
+  // connect that dies before establishment surfaces as a Receive kFault.
   void Attach(SocketLayer* sockets, cionet::SocketId socket,
               ciotls::TlsRole role, uint64_t seed);
-  bool has_socket() const { return link_ != Link::kNone; }
-  // The socket's TCP connection is established.
-  bool transport_up() const { return link_ == Link::kUp; }
-
-  // A connecting socket asks the socket layer for its TCP state (one State
-  // call). False when it closed before establishment: a transport fault.
-  bool AwaitTransport();
+  bool has_socket() const { return attached_; }
 
   // Drains up to `max_chunks` 16 KiB chunks through `scratch` (capacity
   // reused across calls) into the session.
@@ -67,7 +61,7 @@ class Connection {
   // True while bytes Push handed over have not yet left the socket layer's
   // queue; an orderly close waits for them.
   bool SendsInFlight() const {
-    return link_ != Link::kNone && sockets_->SendsInFlight(socket_);
+    return attached_ && sockets_->SendsInFlight(socket_);
   }
 
   // Hands up to `budget` outbound bytes to the socket. With `flush_each`,
@@ -88,12 +82,10 @@ class Connection {
   const Session& session() const { return *session_; }
 
  private:
-  enum class Link { kNone, kConnecting, kUp };
-
   std::unique_ptr<Session> session_;
   SocketLayer* sockets_ = nullptr;
   cionet::SocketId socket_{};
-  Link link_ = Link::kNone;
+  bool attached_ = false;
   bool replay_due_ = false;
 };
 

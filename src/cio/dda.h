@@ -25,8 +25,8 @@
 //
 // The trade-offs the paper lists are measurable here: the host sees only
 // ciphertext TLP sizes and timings (observability like L2 or lower), the
-// per-frame AEAD replaces the masking/copy discipline (bench_dda), and the
-// device's own complexity is added to the TCB (tcb.cc).
+// per-frame AEAD replaces the masking/copy discipline (paper_claims, §3.4),
+// and the device's own complexity is added to the TCB (tcb.cc).
 
 #ifndef SRC_CIO_DDA_H_
 #define SRC_CIO_DDA_H_

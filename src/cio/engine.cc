@@ -64,7 +64,9 @@ class ObservedPort final : public cionet::FramePort {
 // TcpSend would apply), and Push hands the queue to the stack. Pushing only
 // after the stack's own Poll is what lets a server queue its egress before
 // the round's poll, as on dual-boundary, without sending ahead of the ACKs
-// that poll ingests.
+// that poll ingests. On syscall-l5 the free-space read is part of the
+// send() call SendBytes already charges as a host exit: it models that
+// call's return value, not a second call.
 class DirectSends {
  public:
   explicit DirectSends(cionet::NetStack* stack) : stack_(stack) {}
@@ -149,9 +151,6 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
     }
     return result;
   }
-  ciobase::Result<cionet::TcpState> State(cionet::SocketId id) override {
-    return node->host_stack_->GetTcpState(id);
-  }
   ciobase::Status Close(cionet::SocketId id) override {
     node->costs_.ChargeHostExit();
     RecordCall("close", id.value);
@@ -225,9 +224,6 @@ struct ConfidentialNode::GuestStackOps final : SocketLayer {
   }
   ciobase::Result<Accepted> Accept(cionet::SocketId id) override {
     return AcceptFrom(*node->guest_stack_, id);
-  }
-  ciobase::Result<cionet::TcpState> State(cionet::SocketId id) override {
-    return node->guest_stack_->GetTcpState(id);
   }
   ciobase::Status Close(cionet::SocketId id) override {
     sends.Push(id);  // the FIN must not outrun them
@@ -401,7 +397,6 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
       l2_config.slot_size = 2048;
       l2_config.positioning = config_.l2_positioning;
       l2_config.rx_ownership = config_.l2_rx_ownership;
-      l2_config.polling = config_.l2_polling;
       L2Layout layout(l2_config);
       shared_ = std::make_unique<ciotee::SharedRegion>(&memory_, layout.total,
                                                        name + "-l2");
@@ -409,8 +404,7 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
                                                   fabric, name, &adversary_,
                                                   &observability_, clock);
       l2_transport_ = std::make_unique<L2Transport>(
-          shared_.get(), l2_config, &costs_,
-          l2_config.polling ? nullptr : l2_device_.get(), config_.recovery);
+          shared_.get(), l2_config, &costs_, config_.recovery);
       l2_transport_->set_sealed_rx(config_.l2_sealed_rx);
       guest_stack_ = std::make_unique<cionet::NetStack>(l2_transport_.get(),
                                                         clock, stack_config);
@@ -506,7 +500,7 @@ ciobase::Status ConfidentialNode::Disconnect() {
 }
 
 bool ConfidentialNode::Ready() const {
-  return !failed_ && conn_.transport_up() && session().Established();
+  return !failed_ && conn_.has_socket() && session().Established();
 }
 
 bool ConfidentialNode::Failed() const {
@@ -724,10 +718,6 @@ void ConfidentialNode::Poll() {
       conn_.Attach(ops_.get(), accepted->socket, ciotls::TlsRole::kServer,
                    config_.seed + 1);
     }
-  }
-  // Client: detect transport establishment (or its death mid-handshake).
-  if (!conn_.AwaitTransport()) {
-    BeginRecovery("transport closed before establishment");
   }
   // A dead TLS session is a fault to recover from, not a terminal state.
   if (config_.recovery.enabled && session().TlsFailed()) {

@@ -87,7 +87,10 @@ class ConfidentialNode {
   // next one. Returns the link status. Poll() calls it; so does the
   // multi-tenant server, which drives sockets() itself.
   ciobase::Status PollStack();
-  // True once the transport is connected and (if enabled) TLS established.
+  // True once a socket is attached and the session is established: with
+  // TLS, once its handshake completes over the connected socket; without
+  // TLS (an ablation), at once, and sends wait in the socket until the
+  // connect completes.
   bool Ready() const;
   bool Failed() const;
 

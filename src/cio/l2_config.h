@@ -44,9 +44,8 @@ struct L2Config {
   uint32_t slot_size = 2048;  // includes the 8-byte slot header
   DataPositioning positioning = DataPositioning::kInline;
   ReceiveOwnership rx_ownership = ReceiveOwnership::kCopy;
-  // Polling by default ("no notifications"); when false, the guest rings a
-  // stateless, idempotent doorbell after posting.
-  bool polling = true;
+  // No notifications: the host polls the rings; the guest never rings a
+  // doorbell.
   // Checksum offload is fixed OFF: the guest computes its own checksums, so
   // there is nothing to negotiate and nothing for the host to lie about.
 

@@ -21,20 +21,6 @@ bool L2HostDevice::Faulted(ciohost::FaultStrategy strategy) const {
          adversary_->FaultActive(strategy, clock_->now_ns());
 }
 
-void L2HostDevice::Kick() {
-  if (Faulted(ciohost::FaultStrategy::kSwallowDoorbell) ||
-      Faulted(ciohost::FaultStrategy::kLinkKill)) {
-    ++stats_.kicks_swallowed;
-    return;
-  }
-  ++stats_.kicks;
-  if (observability_ != nullptr) {
-    observability_->Record(ciohost::ObsCategory::kDoorbell, clock_->now_ns(),
-                           "l2 doorbell");
-  }
-  Poll();
-}
-
 void L2HostDevice::Poll() {
   // A killed or stalled device touches nothing — not even the epoch cell —
   // so the guest's reset goes unanswered until the fault clears.

@@ -6,8 +6,8 @@
 // manage. Like the virtio device model it can be armed with an adversary
 // (corrupt payloads, inflate slot lengths, storm counters) and it reports
 // host-visible events to the observability log. What the host sees here is
-// exactly what a network observer sees: frame lengths, timings, and
-// doorbells — nothing else (§3.1 "low observability").
+// exactly what a network observer sees: frame lengths and timings —
+// nothing else (§3.1 "low observability").
 
 #ifndef SRC_CIO_L2_HOST_DEVICE_H_
 #define SRC_CIO_L2_HOST_DEVICE_H_
@@ -18,11 +18,10 @@
 #include "src/hostsim/observability.h"
 #include "src/net/fabric.h"
 #include "src/tee/shared_region.h"
-#include "src/virtio/net_device.h"  // KickTarget
 
 namespace cio {
 
-class L2HostDevice final : public ciovirtio::KickTarget {
+class L2HostDevice final {
  public:
   L2HostDevice(ciotee::SharedRegion* region, const L2Config& config,
                cionet::Fabric* fabric, std::string name,
@@ -31,7 +30,6 @@ class L2HostDevice final : public ciovirtio::KickTarget {
                ciobase::SimClock* clock);
 
   void Poll();
-  void Kick() override;
 
   // Fabric endpoint; used to Detach() this device during a hot-swap.
   cionet::EndpointId endpoint() const { return endpoint_; }
@@ -40,8 +38,6 @@ class L2HostDevice final : public ciovirtio::KickTarget {
     uint64_t frames_tx = 0;
     uint64_t frames_rx = 0;
     uint64_t rx_dropped_ring_full = 0;
-    uint64_t kicks = 0;
-    uint64_t kicks_swallowed = 0;
     uint64_t frames_dropped_fault = 0;
     uint64_t frames_duplicated_fault = 0;
     uint64_t epoch_adoptions = 0;

@@ -32,8 +32,7 @@ ciobase::Buffer L2Config::Serialize() const {
   ciobase::StoreLe16(p + 2, ring_slots);
   ciobase::StoreLe32(p + 4, slot_size);
   p[8] = static_cast<uint8_t>(positioning);
-  p[9] = static_cast<uint8_t>(rx_ownership) |
-         static_cast<uint8_t>(polling ? 0x80 : 0);
+  p[9] = static_cast<uint8_t>(rx_ownership);
   return out;
 }
 
@@ -59,13 +58,11 @@ constexpr size_t kL2SealedSnapshotBytes = 64;
 
 L2Transport::L2Transport(ciotee::SharedRegion* region, const L2Config& config,
                          ciobase::CostModel* costs,
-                         ciovirtio::KickTarget* kick,
                          const ciobase::RecoveryConfig& recovery)
     : region_(region),
       config_(config),
       layout_(config),
       costs_(costs),
-      kick_(kick),
       recovery_(recovery),
       watchdog_(recovery) {
   assert(config.Valid());
@@ -153,13 +150,9 @@ ciobase::Result<size_t> L2Transport::SendFrames(
     ++sent;
   }
   if (sent > 0) {
-    // Publish the produced counter once for the whole batch, and coalesce
-    // the doorbell into a single kick (virtio-style event suppression).
+    // Publish the produced counter once for the whole batch; the host's
+    // poll picks it up.
     region_->GuestWriteLe64(layout_.TxProduced(), tx_produced_);
-    if (!config_.polling && kick_ != nullptr) {
-      costs_->ChargeNotify();
-      kick_->Kick();
-    }
     // Work is now in flight: the watchdog starts (or keeps) counting until
     // the host visibly consumes it.
     watchdog_.Arm(now_ns);
@@ -404,10 +397,6 @@ ciobase::Status L2Transport::ResetRing() {
     region_->GuestWrite(layout_.RxSlot(i), zero_header);
   }
   ++stats_.ring_resets;
-  if (!config_.polling && kick_ != nullptr) {
-    costs_->ChargeNotify();
-    kick_->Kick();
-  }
   return ciobase::OkStatus();
 }
 

@@ -11,9 +11,8 @@
 //    bytes, so double fetches are impossible by construction. On TX the
 //    copy into shared memory is required anyway (the host must read it);
 //    there is no second copy.
-//  * No notifications — polling by default. The optional doorbell is
-//    stateless and idempotent (it carries no payload; ringing it twice or
-//    never merely changes when the host polls).
+//  * No notifications — the host polls the rings; the guest never rings a
+//    doorbell, so there is no notify state to get wrong.
 //  * Zero (re-)negotiation — all parameters come from the immutable
 //    L2Config, which is part of the attestation measurement.
 //  * Masked rings and pools — every index/offset derived from host-written
@@ -23,8 +22,7 @@
 //
 // Data positioning (inline / shared pool / indirect) and RX ownership
 // (copy / revoke) are the §3.2 performance explorations, selected in
-// L2Config and benchmarked in bench_data_positioning and
-// bench_copy_vs_revocation.
+// L2Config and measured by bench/paper_claims (§3.2).
 
 #ifndef SRC_CIO_L2_TRANSPORT_H_
 #define SRC_CIO_L2_TRANSPORT_H_
@@ -39,26 +37,24 @@
 #include "src/hostsim/adversary.h"
 #include "src/net/port.h"
 #include "src/tee/shared_region.h"
-#include "src/virtio/net_device.h"  // for KickTarget
 
 namespace cio {
 
 class L2Transport final : public cionet::FramePort {
  public:
-  // `kick` may be null in polling mode. `recovery` enables the watchdog +
-  // ring-reset machinery; the default leaves it off (a wedged host wedges
-  // the link, exactly like the seed behavior).
+  // `recovery` enables the watchdog + ring-reset machinery; the default
+  // leaves it off (a wedged host wedges the link, exactly like the seed
+  // behavior).
   L2Transport(ciotee::SharedRegion* region, const L2Config& config,
-              ciobase::CostModel* costs, ciovirtio::KickTarget* kick,
+              ciobase::CostModel* costs,
               const ciobase::RecoveryConfig& recovery = {});
 
   // --- cionet::FramePort -----------------------------------------------------
 
-  // Batched ring ops: the host counters are read once per batch, the
-  // produced/consumed pointers are published once per batch, and the
-  // doorbell (notify mode) is coalesced into a single kick. Every slot goes
-  // through the single-fetch validation discipline — there is exactly one
-  // datapath per direction, and this is it.
+  // Batched ring ops: the host counters are read once per batch and the
+  // produced/consumed pointers are published once per batch. Every slot
+  // goes through the single-fetch validation discipline — there is exactly
+  // one datapath per direction, and this is it.
   //
   // ReceiveFrames doubles as the recovery poll: it watches the host's
   // counters for progress, arms the watchdog while work is in flight or the
@@ -135,7 +131,6 @@ class L2Transport final : public cionet::FramePort {
   L2Config config_;
   L2Layout layout_;
   ciobase::CostModel* costs_;
-  ciovirtio::KickTarget* kick_;
   ciobase::FrameArena arena_;
   ciobase::RecoveryConfig recovery_;
   ciobase::LinkWatchdog watchdog_;

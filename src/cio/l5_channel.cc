@@ -109,11 +109,6 @@ ciobase::Result<Accepted> L5Channel::Accept(cionet::SocketId listener) {
   return next;
 }
 
-ciobase::Result<cionet::TcpState> L5Channel::State(cionet::SocketId socket) {
-  Crossing crossing(this);
-  return stack_->GetTcpState(socket);
-}
-
 ciobase::Status L5Channel::Close(cionet::SocketId socket) {
   // An orderly close must not outrun this socket's queued submissions: the
   // FIN would precede (or discard) data still sitting in the SQ. One

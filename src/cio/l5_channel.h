@@ -77,9 +77,10 @@ class L5Channel final : public SocketLayer {
             L5ReceiveMode receive_mode, L5BoundaryKind boundary_kind,
             const L5QueueConfig& queues = L5QueueConfig{});
 
-  // Connection management: Connect, Listen, State, Close and Abort cross
-  // into the I/O compartment once each. A socket Connect or Accept returns
-  // is open until Close or Abort.
+  // Connection management: Connect, Listen, Close and Abort cross into the
+  // I/O compartment once each. A socket Connect or Accept returns is open
+  // until Close or Abort; a connect that dies before establishment
+  // completes as a reset through the receive credit, like any other.
   ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
                                             uint16_t port) override;
   // Also arms the listener's multishot accept; the next doorbell submits it.
@@ -88,7 +89,6 @@ class L5Channel final : public SocketLayer {
   // peer), kUnavailable when none is pending. Never crosses: it drains what
   // earlier doorbells harvested, the way ReceiveBytes does.
   ciobase::Result<Accepted> Accept(cionet::SocketId listener) override;
-  ciobase::Result<cionet::TcpState> State(cionet::SocketId socket) override;
   // Orderly close: a doorbell first if the socket still has queued sends
   // (the FIN must not outrun them), the close crossing, then CancelSocket.
   ciobase::Status Close(cionet::SocketId socket) override;

@@ -30,6 +30,9 @@ class SocketLayer {
  public:
   virtual ~SocketLayer() = default;
 
+  // The socket takes sends at once; a connect that dies before
+  // establishment (RST, SYN retries exhausted) surfaces as ReceiveBytes'
+  // kLinkReset, so no caller polls for the handshake's outcome.
   virtual ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
                                                     uint16_t port) = 0;
   virtual ciobase::Result<cionet::SocketId> Listen(uint16_t port) = 0;
@@ -37,7 +40,6 @@ class SocketLayer {
   // included; kUnavailable when nothing is pending. On dual-boundary it
   // crosses nothing: it drains the accept completions Poll harvested.
   virtual ciobase::Result<Accepted> Accept(cionet::SocketId listener) = 0;
-  virtual ciobase::Result<cionet::TcpState> State(cionet::SocketId id) = 0;
   // Orderly close (FIN after buffered data); the server's draining state
   // uses it. Close and Abort both release whatever queue state the socket
   // still pins.

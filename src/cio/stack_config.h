@@ -62,7 +62,6 @@ struct StackConfig {
   L5BoundaryKind l5_boundary = L5BoundaryKind::kCompartment;
   DataPositioning l2_positioning = DataPositioning::kInline;
   ReceiveOwnership l2_rx_ownership = ReceiveOwnership::kCopy;
-  bool l2_polling = true;
 
   // Async L5 datapath: SQ/CQ geometry + sealed-buffer pool.
   L5QueueConfig l5_queue;

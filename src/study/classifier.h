@@ -5,7 +5,7 @@
 // categories. This module reproduces the *pipeline*: a keyword classifier
 // over changelog subjects (validated against the ground-truth labels in the
 // dataset), distribution computation, and the bar-chart-as-table printers
-// used by bench/fig3_netvsc_hardening and bench/fig4_virtio_hardening.
+// used by bench/paper_claims for Figures 3 and 4.
 
 #ifndef SRC_STUDY_CLASSIFIER_H_
 #define SRC_STUDY_CLASSIFIER_H_

@@ -9,7 +9,7 @@
 // drivers — or *hardened* with the retrofit mitigations that the kernel
 // community has been adding (validate ids, clamp lengths, single-fetch
 // snapshots). The difference in both vulnerability and cost is what
-// bench_virtio_baseline and bench_attack_resilience measure.
+// bench/paper_claims (§2.5) and bench_attack_resilience measure.
 //
 // Layout of one virtqueue at `base` within the shared region (all LE):
 //   desc table : queue_size * 16 B   { addr u64, len u32, flags u16, next u16 }

@@ -92,6 +92,24 @@ TEST_P(ProfileTest, ListenerAdoptsTheNextLifetimeAfterDisconnect) {
   RoundTrip(pair, 2, 300);
 }
 
+TEST_P(ProfileTest, ConnectToAClosedPortIsAFault) {
+  // Nobody listens on the port, so the connect dies before establishment
+  // and the receive path reports it: terminal without recovery, a counted
+  // link error with it.
+  for (bool recovery : {false, true}) {
+    SCOPED_TRACE(recovery ? "recovery on" : "recovery off");
+    StackConfig client = Options(GetParam(), 1);
+    client.recovery.enabled = recovery;
+    LinkedPair pair(client, Options(GetParam(), 2));
+    ASSERT_TRUE(pair.client->Connect(pair.server->ip(), 444).ok());
+    EXPECT_TRUE(pair.PumpUntil([&] {
+      return recovery ? pair.client->recovery_stats().link_errors >= 1
+                      : pair.client->Failed();
+    })) << StackProfileName(GetParam());
+    EXPECT_FALSE(pair.client->Ready());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllProfiles, ProfileTest,
     ::testing::Values(StackProfile::kSyscallL5, StackProfile::kPassthroughL2,
@@ -164,17 +182,6 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
-TEST(DualBoundary, NotificationModeAlsoWorks) {
-  StackConfig client = Options(StackProfile::kDualBoundary, 1);
-  client.l2_polling = false;
-  StackConfig server = Options(StackProfile::kDualBoundary, 2);
-  server.l2_polling = false;
-  LinkedPair pair(client, server);
-  ASSERT_TRUE(pair.Establish());
-  RoundTrip(pair, 3, 500);
-  EXPECT_GT(pair.client->costs().counter("notifies"), 0u);
-}
-
 TEST(DualBoundary, DualTeeBoundaryCostsMore) {
   StackConfig compartment = Options(StackProfile::kDualBoundary, 1);
   StackConfig server = Options(StackProfile::kDualBoundary, 2);
@@ -194,6 +201,28 @@ TEST(DualBoundary, DualTeeBoundaryCostsMore) {
   // Same work, strictly more modeled time under the heavyweight boundary.
   EXPECT_GT(b.client->costs().counter("tee_switches"), 0u);
   EXPECT_GT(dual_tee_ns, compartment_ns);
+}
+
+TEST(DualBoundary, ConnectingClientCrossesOnlyAtItsDoorbells) {
+  // Until the channel is up, a client poll crosses into the I/O
+  // compartment only to ring doorbells: nothing asks for the socket's TCP
+  // state, since a connect that dies is reported through the CQ.
+  LinkedPair pair(Options(StackProfile::kDualBoundary, 1),
+                  Options(StackProfile::kDualBoundary, 2));
+  ASSERT_TRUE(pair.server->Listen(443).ok());
+  ASSERT_TRUE(pair.client->Connect(pair.server->ip(), 443).ok());
+  const L5Channel* l5 = pair.client->l5();
+  ASSERT_NE(l5, nullptr);
+  L5Channel::Stats last = l5->stats();
+  int polls = 0;
+  ASSERT_TRUE(pair.PumpUntil([&] {
+    const L5Channel::Stats& now = l5->stats();
+    EXPECT_EQ(now.crossings - last.crossings, now.doorbells - last.doorbells)
+        << "poll " << polls;
+    last = now;
+    ++polls;
+    return pair.client->Ready();
+  }));
 }
 
 TEST(DualBoundary, SendsInOneRoundShareTheNextPollsDoorbell) {

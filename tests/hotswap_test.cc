@@ -61,8 +61,7 @@ struct L2Instance {
                                                     name);
     device = std::make_unique<L2HostDevice>(shared.get(), config, fabric,
                                             name, nullptr, nullptr, clock);
-    transport = std::make_unique<L2Transport>(shared.get(), config, costs,
-                                              nullptr);
+    transport = std::make_unique<L2Transport>(shared.get(), config, costs);
   }
 };
 

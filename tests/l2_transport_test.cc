@@ -1,9 +1,9 @@
 // Unit and property tests for the hardened L2 transport: ring mechanics in
 // every data-positioning mode, flow control, the §3.2 principles
-// (zero-negotiation measurement binding, polling, clamping), and the core
-// safety property — NO host-written bytes, however adversarial, can drive
-// a guest access out of bounds (fuzzed with thousands of random slot and
-// counter images).
+// (zero-negotiation measurement binding, no doorbells, clamping), and the
+// core safety property — NO host-written bytes, however adversarial, can
+// drive a guest access out of bounds (fuzzed with thousands of random slot
+// and counter images).
 
 #include <gtest/gtest.h>
 
@@ -41,9 +41,7 @@ struct World {
     device = std::make_unique<L2HostDevice>(shared.get(), config, &fabric,
                                             "nic", &adversary,
                                             &observability, &clock);
-    transport = std::make_unique<L2Transport>(
-        shared.get(), config, &costs,
-        config.polling ? nullptr : device.get());
+    transport = std::make_unique<L2Transport>(shared.get(), config, &costs);
     peer = std::make_unique<cionet::DirectFabricPort>(
         &fabric, "peer", cionet::MacAddress::FromId(2));
   }
@@ -96,9 +94,6 @@ TEST(L2Config, MeasurementBindsEveryParameter) {
   EXPECT_NE(changed.Measure(), m0);
   changed = base;
   changed.rx_ownership = ReceiveOwnership::kRevoke;
-  EXPECT_NE(changed.Measure(), m0);
-  changed = base;
-  changed.polling = false;
   EXPECT_NE(changed.Measure(), m0);
   changed = base;
   changed.ring_slots = 128;
@@ -182,19 +177,6 @@ TEST(L2Transport, TxFlowControlWhenHostStalls) {
   }
   EXPECT_EQ(accepted, world.config.ring_slots);
   EXPECT_GT(world.transport->stats().tx_ring_full, 0u);
-}
-
-TEST(L2Transport, NotifyModeKicksDevice) {
-  L2Config config;
-  config.polling = false;
-  World world(config);
-  Buffer frame = world.FromGuest(64);
-  ASSERT_TRUE(cionet::SendOne(*world.transport, frame).ok());
-  // The kick drove the device synchronously: frame already on the fabric.
-  EXPECT_EQ(world.device->stats().kicks, 1u);
-  EXPECT_EQ(world.costs.counter("notifies"), 1u);
-  EXPECT_GT(world.observability.CountOf(ciohost::ObsCategory::kDoorbell),
-            0u);
 }
 
 TEST(L2Transport, PollingModeHasNoDoorbells) {
@@ -472,18 +454,6 @@ TEST(L2Batch, HostileRxProducedRewindYieldsNothing) {
                      0);  // rewound below rx_consumed_ == 1
   EXPECT_EQ(*world.transport->ReceiveFrames(batch, 16), 0u);
   EXPECT_EQ(world.memory.ViolationCount(ciotee::ViolationKind::kOobRead), 0u);
-}
-
-TEST(L2Batch, NotifyModeCoalescesDoorbellPerBatch) {
-  L2Config config;
-  config.polling = false;
-  World world(config);
-  Buffer frame = world.FromGuest(64);
-  std::vector<ciobase::ByteSpan> spans(8, ciobase::ByteSpan(frame));
-  ASSERT_EQ(*world.transport->SendFrames(spans), 8u);
-  // One kick and one modeled notify for the whole batch of 8.
-  EXPECT_EQ(world.device->stats().kicks, 1u);
-  EXPECT_EQ(world.costs.counter("notifies"), 1u);
 }
 
 TEST(L2Batch, AdversaryStrategiesSafeUnderBatchedOps) {

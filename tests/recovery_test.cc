@@ -144,7 +144,7 @@ struct L2World {
                                             "nic", &adversary, &observability,
                                             &clock);
     transport = std::make_unique<L2Transport>(shared.get(), config, &costs,
-                                              nullptr, recovery);
+                                              recovery);
     peer = std::make_unique<cionet::DirectFabricPort>(
         &fabric, "peer", cionet::MacAddress::FromId(2));
   }

@@ -3,6 +3,9 @@
 # revision: bench_throughput's table goes to stdout and its JSON form is
 # written to BENCH_throughput.json at the repo root (likewise blockio and
 # server load), so successive revisions can be diffed cell by cell.
+# BENCH_claims.json holds paper_claims' rows: the figure and ablation
+# measurements and one {"probe", "ok"} row per paper claim, so a claim that
+# stops holding fails the diff as well as the binary's own exit code.
 #
 # BENCH_profile.json is the in-sim cycle-accounting profile: per-stage
 # attribution rows from bench_throughput --profile (arms throughput-tx/-rx)
@@ -53,7 +56,8 @@ if [[ "$profile_only" == 1 ]]; then
     -j >/dev/null
 else
   cmake --build "$build_dir" --target bench_throughput bench_crypto \
-    bench_blockio bench_server_load bench_session_churn -j >/dev/null
+    bench_blockio bench_server_load bench_session_churn paper_claims \
+    -j >/dev/null
 fi
 
 out_dir="$repo_root"
@@ -80,6 +84,8 @@ else
     --profile "$out_dir/BENCH_profile_server.json"
   echo
   "$build_dir/bench/bench_session_churn" --json "$out_dir/BENCH_session.json"
+  echo
+  "$build_dir/bench/paper_claims" --json "$out_dir/BENCH_claims.json"
 fi
 
 # Merge the two benches' profile rows into the one committed baseline.
@@ -104,7 +110,7 @@ if [[ "$check_mode" == 1 ]]; then
   names=(BENCH_profile)
   if [[ "$profile_only" == 0 ]]; then
     names=(BENCH_throughput BENCH_blockio BENCH_server BENCH_session
-           BENCH_profile)
+           BENCH_claims BENCH_profile)
   fi
   status=0
   for name in "${names[@]}"; do
