@@ -300,43 +300,24 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
     case StackProfile::kPassthroughL2:
     case StackProfile::kHardenedVirtio:
     case StackProfile::kTunneledL2: {
-      // One virtio-net device with its own region, rings and negotiation.
-      auto add_nic = [&](const std::string& region, const std::string& nic,
-                         std::unique_ptr<ciotee::SharedRegion>& shared,
-                         std::unique_ptr<ciovirtio::VirtioNetDevice>& device,
-                         std::unique_ptr<ciovirtio::VirtioNetDriver>& driver) {
-        auto layout = ciovirtio::VirtioNetLayout::Make(128, 2048, 256);
-        shared = std::make_unique<ciotee::SharedRegion>(
-            &memory_, layout.TotalSize(), region);
-        device = std::make_unique<ciovirtio::VirtioNetDevice>(
-            shared.get(), layout, fabric, nic, mac, 1500,
-            ciovirtio::kFeatureMac | ciovirtio::kFeatureMtu |
-                ciovirtio::kFeatureCsum | ciovirtio::kFeatureVersion1 |
-                ciovirtio::kFeatureIndirectDesc,
-            &adversary_, &observability_, clock);
-        driver = std::make_unique<ciovirtio::VirtioNetDriver>(
-            shared.get(), layout, device.get(), &costs_,
-            config_.profile == StackProfile::kHardenedVirtio
-                ? ciovirtio::HardeningOptions::Full()
-                : ciovirtio::HardeningOptions::Passthrough(),
-            &observability_, config_.recovery);
-        return driver->Negotiate().ok();
-      };
-      if (!add_nic(name + "-virtio", name, shared_, virtio_device_,
-                   virtio_driver_)) {
+      auto layout = ciovirtio::VirtioNetLayout::Make(128, 2048, 256);
+      shared_ = std::make_unique<ciotee::SharedRegion>(
+          &memory_, layout.TotalSize(), name + "-virtio");
+      virtio_device_ = std::make_unique<ciovirtio::VirtioNetDevice>(
+          shared_.get(), layout, fabric, name, mac, 1500,
+          ciovirtio::kFeatureMac | ciovirtio::kFeatureMtu |
+              ciovirtio::kFeatureCsum | ciovirtio::kFeatureVersion1 |
+              ciovirtio::kFeatureIndirectDesc,
+          &adversary_, &observability_, clock);
+      virtio_driver_ = std::make_unique<ciovirtio::VirtioNetDriver>(
+          shared_.get(), layout, virtio_device_.get(), &costs_,
+          config_.profile == StackProfile::kHardenedVirtio
+              ? ciovirtio::HardeningOptions::Full()
+              : ciovirtio::HardeningOptions::Passthrough(),
+          &observability_, config_.recovery);
+      if (!virtio_driver_->Negotiate().ok()) {
         failed_ = true;
         break;
-      }
-      if (config_.net_devices == 2) {
-        // Second device: same MAC (the fabric spreads unicast round-robin
-        // across the two endpoints).
-        if (!add_nic(name + "-virtio1", name + "-nic1", shared2_,
-                     virtio_device2_, virtio_driver2_)) {
-          failed_ = true;
-          break;
-        }
-        bond_port_ = std::make_unique<ciovirtio::BondPort>(
-            virtio_driver_.get(), virtio_driver2_.get());
       }
       if (config_.profile == StackProfile::kTunneledL2) {
         // LightBox-style: the tunnel wraps the raw port; one endpoint of a
@@ -346,10 +327,6 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
             ciobase::BufferFromString("tunnel-gateway-psk-32-bytes....."),
             config_.node_id % 2 == 1, &costs_);
         guest_stack_ = std::make_unique<cionet::NetStack>(tunnel_port_.get(),
-                                                          clock,
-                                                          stack_config);
-      } else if (bond_port_ != nullptr) {
-        guest_stack_ = std::make_unique<cionet::NetStack>(bond_port_.get(),
                                                           clock,
                                                           stack_config);
       } else {
@@ -405,7 +382,11 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
                                                   &observability_, clock);
       l2_transport_ = std::make_unique<L2Transport>(
           shared_.get(), l2_config, &costs_, config_.recovery);
-      l2_transport_->set_sealed_rx(config_.l2_sealed_rx);
+      // Every payload byte is sealed end to end by the L5 AEAD layer, so the
+      // defensive receive copies at both layers are redundant with its
+      // check: the L2 ring snapshots only headers, and the L5 channel
+      // harvests in place.
+      l2_transport_->set_sealed_rx(true);
       guest_stack_ = std::make_unique<cionet::NetStack>(l2_transport_.get(),
                                                         clock, stack_config);
       compartments_ = std::make_unique<ciotee::CompartmentManager>(&costs_);
@@ -416,7 +397,7 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
       compartments_->GrantAccess(app_compartment_, io_compartment_);
       auto l5 = std::make_unique<L5Channel>(
           compartments_.get(), app_compartment_, io_compartment_,
-          guest_stack_.get(), &costs_, config_.l5_receive,
+          guest_stack_.get(), &costs_, L5ReceiveMode::kSealed,
           config_.l5_boundary, config_.l5_queue);
       l5_ = l5.get();
       ops_ = std::move(l5);
@@ -426,23 +407,6 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
   if (config_.profiler != nullptr) {
     if (guest_stack_ != nullptr) guest_stack_->set_profiler(config_.profiler);
     if (host_stack_ != nullptr) host_stack_->set_profiler(config_.profiler);
-  }
-  if (config_.enable_vsock && !failed_) {
-    // Independent shared region: vsock traffic never rides the net fabric,
-    // so it attaches beside whatever transport the profile chose.
-    auto vsock_layout = ciovirtio::VsockLayout::Make(64, 2048, 128);
-    uint64_t guest_cid = ciovirtio::kVsockGuestCidBase + config_.node_id;
-    vsock_shared_ = std::make_unique<ciotee::SharedRegion>(
-        &memory_, vsock_layout.TotalSize(), name + "-vsock");
-    vsock_device_ = std::make_unique<ciovirtio::VirtioVsockDevice>(
-        vsock_shared_.get(), vsock_layout, guest_cid, &adversary_,
-        &observability_, clock);
-    vsock_driver_ = std::make_unique<ciovirtio::VirtioVsockDriver>(
-        vsock_shared_.get(), vsock_layout, vsock_device_.get(), &costs_,
-        guest_cid, &observability_);
-    if (!vsock_driver_->Negotiate().ok()) {
-      failed_ = true;
-    }
   }
 }
 
@@ -681,9 +645,6 @@ void ConfidentialNode::Poll() {
     return;
   }
   CIO_PROF_SCOPE(costs_.profiler(), "engine.poll");
-  if (vsock_device_ != nullptr) {
-    vsock_device_->Poll();
-  }
   ciobase::Status link = PollStack();
   if (!link.ok() && link.code() == ciobase::StatusCode::kTimedOut) {
     // The transport's reset budget is exhausted: the host stopped the link
@@ -738,9 +699,6 @@ ciobase::Status ConfidentialNode::PollStack() {
   auto poll_devices = [this] {
     if (virtio_device_ != nullptr) {
       virtio_device_->Poll();
-    }
-    if (virtio_device2_ != nullptr) {
-      virtio_device2_->Poll();
     }
     if (dda_device_ != nullptr) {
       dda_device_->Poll();

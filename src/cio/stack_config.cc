@@ -51,13 +51,6 @@ StackConfig StackConfig::DefaultsFor(StackProfile profile, uint32_t node_id) {
   // Only the dual-boundary design recovers from transient host faults; the
   // baselines keep their historical wedge-on-fault behavior.
   config.recovery.enabled = profile == StackProfile::kDualBoundary;
-  if (profile == StackProfile::kDualBoundary) {
-    // With the async datapath every payload byte is sealed end to end, so
-    // the defensive per-byte receive copies at both layers are redundant
-    // with the AEAD check: harvest in place, snapshot only headers.
-    config.l5_receive = L5ReceiveMode::kSealed;
-    config.l2_sealed_rx = true;
-  }
   return config;
 }
 
@@ -78,16 +71,6 @@ bool StackConfig::Valid() const {
   if (t.send_buffer_limit == 0 || t.receive_buffer_limit == 0 ||
       t.max_retries <= 0) {
     return false;
-  }
-  if (net_devices == 0 || net_devices > 2) {
-    return false;
-  }
-  if (net_devices == 2 && profile != StackProfile::kPassthroughL2 &&
-      profile != StackProfile::kHardenedVirtio) {
-    return false;  // bonding exists only below a virtio FramePort
-  }
-  if (enable_vsock && profile == StackProfile::kSyscallL5) {
-    return false;  // no host boundary to carry a vsock device
   }
   return true;
 }

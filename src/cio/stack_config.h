@@ -57,8 +57,9 @@ struct StackConfig {
   ciobase::Buffer psk;   // attestation-bound pre-shared key
   bool use_tls = true;   // the design mandates TLS; ablations may disable
 
-  // Dual-boundary knobs.
-  L5ReceiveMode l5_receive = L5ReceiveMode::kCopy;
+  // Dual-boundary knobs. The receive paths are fixed by the node: the L5
+  // channel harvests sealed records in place and the L2 ring snapshots only
+  // frame headers (every payload byte is authenticated by the L5 AEAD).
   L5BoundaryKind l5_boundary = L5BoundaryKind::kCompartment;
   DataPositioning l2_positioning = DataPositioning::kInline;
   ReceiveOwnership l2_rx_ownership = ReceiveOwnership::kCopy;
@@ -68,10 +69,6 @@ struct StackConfig {
   // Latency mode: doorbell immediately after each submitted message instead
   // of batching until the next poll round — trades peak throughput for p99.
   bool l5_latency_mode = false;
-  // Sealed L2 receive: charge only a header snapshot per frame instead of a
-  // defensive payload copy — sound when every payload byte is authenticated
-  // by the L5 AEAD layer before parsing (the dual-boundary default).
-  bool l2_sealed_rx = false;
 
   // Guest (and, for the syscall profile, host-proxy) TCP stack tuning. The
   // recovery campaign shrinks the RTO so retransmit-driven catch-up fits in
@@ -86,14 +83,6 @@ struct StackConfig {
   // cost model at construction and hangs it on every instrumented layer.
   // One registry per node — counter snapshots don't compose across nodes.
   cioprof::ProfRegistry* profiler = nullptr;
-
-  // Device zoo (ISSUE 7). `enable_vsock` attaches a vsock stream device in
-  // its own shared region (any profile with a host boundary, i.e. not the
-  // syscall profile). `net_devices` = 2 bonds a second virtio-net device
-  // under the stack (passthrough-l2 / hardened-virtio only — the profiles
-  // whose FramePort is a virtio driver).
-  bool enable_vsock = false;
-  uint32_t net_devices = 1;
 
   // Link-fault recovery: watchdog timeouts, ring-reset budgets, TLS
   // reconnect budget, resend window. Disabled by default; DefaultsFor()

@@ -17,7 +17,7 @@ constexpr struct {
     {"crypto", 610},
     {"tee", 790},
     {"tls", 470},
-    {"net-stack", 2100},   // Ethernet/ARP/IPv4/TCP/UDP/sockets
+    {"net-stack", 2100},   // Ethernet/ARP/IPv4/TCP/sockets
     {"virtio-driver", 680},
     {"cio-l2", 450},
     {"cio-l5", 200},

@@ -251,9 +251,6 @@ void NetStack::HandleIpv4(ciobase::ByteSpan packet) {
     case kIpProtoTcp:
       HandleTcp(datagram->header, datagram->payload);
       break;
-    case kIpProtoUdp:
-      HandleUdp(datagram->header, datagram->payload);
-      break;
     default:
       break;  // unsupported protocol
   }
@@ -345,32 +342,6 @@ void NetStack::HandleTcp(const Ipv4Header& ip, ciobase::ByteSpan segment) {
   }
 }
 
-void NetStack::HandleUdp(const Ipv4Header& ip, ciobase::ByteSpan datagram) {
-  auto parsed = ParseUdpDatagram(ip.src, ip.dst, datagram);
-  if (!parsed.ok()) {
-    if (parsed.status().code() == ciobase::StatusCode::kTampered) {
-      ++stats_.checksum_errors;
-    } else {
-      ++stats_.parse_errors;
-    }
-    return;
-  }
-  ++stats_.udp_rx;
-  for (auto& [id, socket] : sockets_) {
-    if (socket.type == SocketType::kUdp &&
-        socket.local_port == parsed->header.dst_port) {
-      // Bounded queue: shed oldest under pressure.
-      if (socket.udp_queue.size() >= 1024) {
-        socket.udp_queue.pop_front();
-      }
-      socket.udp_queue.push_back(UdpMessage{ip.src, parsed->header.src_port,
-                                            std::move(parsed->payload)});
-      return;
-    }
-  }
-  ++stats_.no_socket_drops;
-}
-
 void NetStack::FlushTcpOutput(Socket& socket) {
   if (socket.conn == nullptr) {
     return;
@@ -445,61 +416,6 @@ ciobase::Status NetStack::Poll() {
     FlushTxBatch();
   }
   return link;
-}
-
-// --- UDP API -------------------------------------------------------------------
-
-ciobase::Result<SocketId> NetStack::UdpOpen(uint16_t local_port) {
-  if (local_port == 0) {
-    local_port = AllocatePort();
-    if (local_port == 0) {
-      return ciobase::ResourceExhausted("no ephemeral ports");
-    }
-  } else if (PortInUse(local_port)) {
-    return ciobase::AlreadyExists("port in use");
-  }
-  Socket socket;
-  socket.type = SocketType::kUdp;
-  socket.local_port = local_port;
-  return NewSocket(std::move(socket));
-}
-
-ciobase::Status NetStack::UdpSendTo(SocketId id, Ipv4Address dst,
-                                    uint16_t port, ciobase::ByteSpan payload) {
-  Socket* socket = Find(id);
-  if (socket == nullptr || socket->type != SocketType::kUdp) {
-    return ciobase::NotFound("not a UDP socket");
-  }
-  if (payload.size() > 65507) {
-    return ciobase::InvalidArgument("UDP payload too large");
-  }
-  ciobase::Buffer datagram = BuildUdpDatagram(config_.ip, dst,
-                                              socket->local_port, port,
-                                              payload);
-  SendIpv4(dst, kIpProtoUdp, datagram);
-  return ciobase::OkStatus();
-}
-
-ciobase::Result<UdpMessage> NetStack::UdpReceive(SocketId id) {
-  Socket* socket = Find(id);
-  if (socket == nullptr || socket->type != SocketType::kUdp) {
-    return ciobase::NotFound("not a UDP socket");
-  }
-  if (socket->udp_queue.empty()) {
-    return ciobase::Unavailable("no datagram");
-  }
-  UdpMessage message = std::move(socket->udp_queue.front());
-  socket->udp_queue.pop_front();
-  return message;
-}
-
-ciobase::Status NetStack::UdpClose(SocketId id) {
-  Socket* socket = Find(id);
-  if (socket == nullptr || socket->type != SocketType::kUdp) {
-    return ciobase::NotFound("not a UDP socket");
-  }
-  sockets_.erase(id.value);
-  return ciobase::OkStatus();
 }
 
 // --- TCP API -------------------------------------------------------------------

@@ -27,7 +27,6 @@
 #include "src/net/ipv4.h"
 #include "src/net/port.h"
 #include "src/net/tcp.h"
-#include "src/net/udp.h"
 
 namespace cioprof {
 class ProfRegistry;
@@ -38,12 +37,6 @@ namespace cionet {
 struct SocketId {
   uint32_t value = 0;
   bool operator==(const SocketId&) const = default;
-};
-
-struct UdpMessage {
-  Ipv4Address src_ip;
-  uint16_t src_port = 0;
-  ciobase::Buffer payload;
 };
 
 class NetStack {
@@ -77,14 +70,6 @@ class NetStack {
 
   // In-sim profiler of the owning node ("tcp.poll" probe); null = disabled.
   void set_profiler(cioprof::ProfRegistry* profiler) { prof_ = profiler; }
-
-  // --- UDP ------------------------------------------------------------------
-
-  ciobase::Result<SocketId> UdpOpen(uint16_t local_port);  // 0 => ephemeral
-  ciobase::Status UdpSendTo(SocketId socket, Ipv4Address dst, uint16_t port,
-                            ciobase::ByteSpan payload);
-  ciobase::Result<UdpMessage> UdpReceive(SocketId socket);
-  ciobase::Status UdpClose(SocketId socket);
 
   // --- TCP ------------------------------------------------------------------
 
@@ -123,7 +108,6 @@ class NetStack {
     uint64_t arp_rx = 0;
     uint64_t ipv4_rx = 0;
     uint64_t tcp_rx = 0;
-    uint64_t udp_rx = 0;
     uint64_t parse_errors = 0;
     uint64_t checksum_errors = 0;
     uint64_t no_socket_drops = 0;
@@ -143,13 +127,11 @@ class NetStack {
   const Stats& stats() const { return stats_; }
 
  private:
-  enum class SocketType { kUdp, kTcpListener, kTcpConnection };
+  enum class SocketType { kTcpListener, kTcpConnection };
 
   struct Socket {
     SocketType type;
     uint16_t local_port = 0;
-    // UDP
-    std::deque<UdpMessage> udp_queue;
     // Listener
     std::deque<SocketId> accept_queue;
     // Connection
@@ -183,7 +165,6 @@ class NetStack {
   void HandleFrame(ciobase::ByteSpan frame);
   void HandleIpv4(ciobase::ByteSpan packet);
   void HandleTcp(const Ipv4Header& ip, ciobase::ByteSpan segment);
-  void HandleUdp(const Ipv4Header& ip, ciobase::ByteSpan datagram);
   void SendRst(const Ipv4Header& ip, const TcpHeader& header,
                size_t payload_size);
   void FlushTcpOutput(Socket& socket);

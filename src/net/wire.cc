@@ -140,32 +140,6 @@ ciobase::Result<Ipv4Header> Ipv4Header::Parse(ciobase::ByteSpan packet) {
   return header;
 }
 
-// --- UDP --------------------------------------------------------------------
-
-void UdpHeader::Serialize(ciobase::Buffer& out) const {
-  size_t base = out.size();
-  out.resize(base + kUdpHeaderSize);
-  uint8_t* p = out.data() + base;
-  ciobase::StoreBe16(p, src_port);
-  ciobase::StoreBe16(p + 2, dst_port);
-  ciobase::StoreBe16(p + 4, length);
-  ciobase::StoreBe16(p + 6, 0);  // checksum filled by the stack
-}
-
-ciobase::Result<UdpHeader> UdpHeader::Parse(ciobase::ByteSpan datagram) {
-  if (datagram.size() < kUdpHeaderSize) {
-    return ciobase::InvalidArgument("UDP datagram too short");
-  }
-  UdpHeader header;
-  header.src_port = ciobase::LoadBe16(datagram.data());
-  header.dst_port = ciobase::LoadBe16(datagram.data() + 2);
-  header.length = ciobase::LoadBe16(datagram.data() + 4);
-  if (header.length < kUdpHeaderSize || header.length > datagram.size()) {
-    return ciobase::InvalidArgument("UDP length out of range");
-  }
-  return header;
-}
-
 // --- TCP --------------------------------------------------------------------
 
 void TcpHeader::Serialize(ciobase::Buffer& out) const {

@@ -1,4 +1,4 @@
-// Wire formats: Ethernet, ARP, IPv4, UDP, TCP headers, addresses, checksums.
+// Wire formats: Ethernet, ARP, IPv4, TCP headers, addresses, checksums.
 //
 // The TEE's own network stack (§2.4: "almost all high-performance approaches
 // work at layer 2, exchanging raw Ethernet packets, processed by the TEE's
@@ -85,7 +85,6 @@ struct ArpPacket {
 
 inline constexpr size_t kIpv4HeaderSize = 20;  // no options
 inline constexpr uint8_t kIpProtoTcp = 6;
-inline constexpr uint8_t kIpProtoUdp = 17;
 inline constexpr uint16_t kIpv4FlagDontFragment = 0x4000;
 inline constexpr uint16_t kIpv4FlagMoreFragments = 0x2000;
 
@@ -110,19 +109,6 @@ struct Ipv4Header {
   void Serialize(ciobase::Buffer& out) const;
   // Parses and verifies the header checksum.
   static ciobase::Result<Ipv4Header> Parse(ciobase::ByteSpan packet);
-};
-
-// --- UDP --------------------------------------------------------------------
-
-inline constexpr size_t kUdpHeaderSize = 8;
-
-struct UdpHeader {
-  uint16_t src_port = 0;
-  uint16_t dst_port = 0;
-  uint16_t length = 0;  // header + payload
-
-  void Serialize(ciobase::Buffer& out) const;
-  static ciobase::Result<UdpHeader> Parse(ciobase::ByteSpan datagram);
 };
 
 // --- TCP --------------------------------------------------------------------
@@ -156,11 +142,11 @@ struct TcpHeader {
 // pseudo-header partial sum).
 uint16_t InternetChecksum(ciobase::ByteSpan data, uint32_t initial = 0);
 
-// Partial (un-folded) sum of the IPv4 pseudo header for TCP/UDP checksums.
+// Partial (un-folded) sum of the IPv4 pseudo header for TCP checksums.
 uint32_t PseudoHeaderSum(Ipv4Address src, Ipv4Address dst, uint8_t protocol,
                          uint16_t length);
 
-// Computes the TCP/UDP checksum over header+payload with the pseudo header.
+// Computes the TCP checksum over header+payload with the pseudo header.
 uint16_t TransportChecksum(Ipv4Address src, Ipv4Address dst, uint8_t protocol,
                            ciobase::ByteSpan segment);
 

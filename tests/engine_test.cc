@@ -140,7 +140,6 @@ TEST(EngineInterop, DualBoundaryTalksToSyscallPeer) {
 struct DualKnobs {
   DataPositioning positioning;
   ReceiveOwnership ownership;
-  L5ReceiveMode l5;
   const char* name;
 };
 
@@ -150,11 +149,9 @@ TEST_P(DualBoundaryKnobTest, RoundTripsUnderEveryConfiguration) {
   StackConfig client = Options(StackProfile::kDualBoundary, 1);
   client.l2_positioning = GetParam().positioning;
   client.l2_rx_ownership = GetParam().ownership;
-  client.l5_receive = GetParam().l5;
   StackConfig server = Options(StackProfile::kDualBoundary, 2);
   server.l2_positioning = GetParam().positioning;
   server.l2_rx_ownership = GetParam().ownership;
-  server.l5_receive = GetParam().l5;
   LinkedPair pair(client, server);
   ASSERT_TRUE(pair.Establish()) << GetParam().name;
   RoundTrip(pair, 3, 900);
@@ -167,17 +164,13 @@ INSTANTIATE_TEST_SUITE_P(
     Knobs, DualBoundaryKnobTest,
     ::testing::Values(
         DualKnobs{DataPositioning::kInline, ReceiveOwnership::kCopy,
-                  L5ReceiveMode::kCopy, "inline_copy"},
+                  "inline_copy"},
         DualKnobs{DataPositioning::kSharedPool, ReceiveOwnership::kCopy,
-                  L5ReceiveMode::kCopy, "pool_copy"},
+                  "pool_copy"},
         DualKnobs{DataPositioning::kIndirect, ReceiveOwnership::kCopy,
-                  L5ReceiveMode::kCopy, "indirect_copy"},
+                  "indirect_copy"},
         DualKnobs{DataPositioning::kSharedPool, ReceiveOwnership::kRevoke,
-                  L5ReceiveMode::kCopy, "pool_revoke"},
-        DualKnobs{DataPositioning::kSharedPool, ReceiveOwnership::kRevoke,
-                  L5ReceiveMode::kRevoke, "pool_revoke_l5revoke"},
-        DualKnobs{DataPositioning::kInline, ReceiveOwnership::kCopy,
-                  L5ReceiveMode::kRevoke, "inline_l5revoke"}),
+                  "pool_revoke"}),
     [](const ::testing::TestParamInfo<DualKnobs>& info) {
       return info.param.name;
     });

@@ -1,7 +1,7 @@
-// Integration tests for the NetStack beyond TCP: UDP datagrams, ARP
-// resolution through the stack, IP fragmentation of large UDP payloads,
-// fabric loss behavior for datagrams, port allocation, the stack's
-// defensive counters against malformed input, and how app-closed TCP
+// Integration tests for the NetStack beyond the TCP state machine: ARP
+// resolution through the stack, fabric loss behavior, the stack's
+// defensive counters against malformed input (including IPv4 protocols it
+// does not speak), listener backpressure, and how app-closed TCP
 // connections wait out TIME_WAIT.
 
 #include <gtest/gtest.h>
@@ -24,113 +24,69 @@ using cionet::SocketId;
 using cionet::TcpState;
 using ciotest::TwoHostWorld;
 
-TEST(UdpStack, DatagramRoundTrip) {
-  TwoHostWorld world;
-  auto socket_a = world.stack_a->UdpOpen(5000);
-  auto socket_b = world.stack_b->UdpOpen(6000);
-  ASSERT_TRUE(socket_a.ok());
-  ASSERT_TRUE(socket_b.ok());
-  ASSERT_TRUE(world.stack_a
-                  ->UdpSendTo(*socket_a, world.stack_b->ip(), 6000,
-                              BufferFromString("datagram one"))
-                  .ok());
-  cionet::UdpMessage message;
-  ASSERT_TRUE(world.PumpUntil([&] {
-    auto received = world.stack_b->UdpReceive(*socket_b);
-    if (received.ok()) {
-      message = *received;
-      return true;
-    }
+// Listens on host B's `port`, connects from host A and sends `text`;
+// true once host B has received all of it.
+bool TcpDelivers(TwoHostWorld& world, uint16_t port, const char* text) {
+  auto listener = world.stack_b->TcpListen(port);
+  auto client = world.stack_a->TcpConnect(world.stack_b->ip(), port);
+  if (!listener.ok() || !client.ok()) {
     return false;
-  }));
-  EXPECT_EQ(ciobase::StringFromBytes(message.payload), "datagram one");
-  EXPECT_EQ(message.src_ip, world.stack_a->ip());
-  EXPECT_EQ(message.src_port, 5000);
-  // Reply to the sender address.
-  ASSERT_TRUE(world.stack_b
-                  ->UdpSendTo(*socket_b, message.src_ip, message.src_port,
-                              BufferFromString("reply"))
-                  .ok());
-  ASSERT_TRUE(world.PumpUntil(
-      [&] { return world.stack_a->UdpReceive(*socket_a).ok(); }));
-}
-
-TEST(UdpStack, LargeDatagramFragmentsAndReassembles) {
-  TwoHostWorld world;
-  auto socket_a = world.stack_a->UdpOpen(5000);
-  auto socket_b = world.stack_b->UdpOpen(6000);
-  ciobase::Rng rng(4);
-  Buffer big = rng.Bytes(9000);  // > 6 fragments at MTU 1500
-  ASSERT_TRUE(world.stack_a
-                  ->UdpSendTo(*socket_a, world.stack_b->ip(), 6000, big)
-                  .ok());
-  cionet::UdpMessage message;
-  ASSERT_TRUE(world.PumpUntil([&] {
-    auto received = world.stack_b->UdpReceive(*socket_b);
-    if (received.ok()) {
-      message = *received;
-      return true;
+  }
+  const Buffer data = BufferFromString(text);
+  std::optional<SocketId> server;
+  size_t sent = 0;
+  Buffer received;
+  Buffer chunk(256, 0);
+  return world.PumpUntil([&] {
+    if (!server.has_value()) {
+      auto accepted = world.stack_b->TcpAccept(*listener);
+      if (!accepted.ok()) {
+        return false;
+      }
+      server = *accepted;
     }
-    return false;
-  }));
-  EXPECT_EQ(message.payload, big);
+    if (sent < data.size()) {
+      auto queued = world.stack_a->TcpSend(
+          *client, ciobase::ByteSpan(data).subspan(sent));
+      if (queued.ok()) {
+        sent += *queued;
+      }
+    }
+    auto got = world.stack_b->TcpReceive(*server, chunk);
+    if (got.ok()) {
+      received.insert(received.end(), chunk.begin(),
+                      chunk.begin() + static_cast<long>(*got));
+    }
+    return received == data;
+  });
 }
 
-TEST(UdpStack, OversizedPayloadRejected) {
-  TwoHostWorld world;
-  auto socket = world.stack_a->UdpOpen(5000);
-  Buffer way_too_big(70000, 1);
-  EXPECT_FALSE(world.stack_a
-                   ->UdpSendTo(*socket, world.stack_b->ip(), 6000,
-                               way_too_big)
-                   .ok());
-}
-
-TEST(UdpStack, UnknownPortDropsAndCounts) {
-  TwoHostWorld world;
-  auto socket = world.stack_a->UdpOpen(5000);
-  ASSERT_TRUE(world.stack_a
-                  ->UdpSendTo(*socket, world.stack_b->ip(), 4242,
-                              BufferFromString("nobody home"))
-                  .ok());
-  world.Pump(50);
-  EXPECT_GT(world.stack_b->stats().no_socket_drops, 0u);
-}
-
-TEST(UdpStack, PortCollisionRefused) {
-  TwoHostWorld world;
-  ASSERT_TRUE(world.stack_a->UdpOpen(5000).ok());
-  EXPECT_FALSE(world.stack_a->UdpOpen(5000).ok());
-  // Ephemeral allocation avoids the taken port.
-  auto ephemeral = world.stack_a->UdpOpen(0);
-  ASSERT_TRUE(ephemeral.ok());
-}
-
-TEST(UdpStack, CloseStopsDelivery) {
-  TwoHostWorld world;
-  auto socket_a = world.stack_a->UdpOpen(5000);
-  auto socket_b = world.stack_b->UdpOpen(6000);
-  ASSERT_TRUE(world.stack_b->UdpClose(*socket_b).ok());
-  ASSERT_TRUE(world.stack_a
-                  ->UdpSendTo(*socket_a, world.stack_b->ip(), 6000,
-                              BufferFromString("late"))
-                  .ok());
-  world.Pump(50);
-  EXPECT_FALSE(world.stack_b->UdpReceive(*socket_b).ok());
+// An Ethernet + IPv4 frame from host A to host B carrying `payload` as
+// IP protocol `protocol`.
+Buffer Ipv4FrameToB(const TwoHostWorld& world, uint8_t protocol,
+                    ciobase::ByteSpan payload) {
+  cionet::Ipv4Header ip;
+  ip.protocol = protocol;
+  ip.src = world.stack_a->ip();
+  ip.dst = world.stack_b->ip();
+  ip.total_length =
+      static_cast<uint16_t>(cionet::kIpv4HeaderSize + payload.size());
+  Buffer frame;
+  cionet::EthernetHeader eth{world.port_b->mac(), world.port_a->mac(),
+                             cionet::kEtherTypeIpv4};
+  eth.Serialize(frame);
+  ip.Serialize(frame);
+  ciobase::Append(frame, payload);
+  return frame;
 }
 
 TEST(StackArp, ResolutionHappensOnceThenCaches) {
   TwoHostWorld world;
-  auto socket_a = world.stack_a->UdpOpen(5000);
-  auto socket_b = world.stack_b->UdpOpen(6000);
-  (void)socket_b;
-  // First datagram triggers ARP; several more reuse the cache.
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(world.stack_a
-                    ->UdpSendTo(*socket_a, world.stack_b->ip(), 6000,
-                                BufferFromString("x"))
-                    .ok());
-    world.Pump(20);
+  // The first connection triggers ARP; its segments and those of four more
+  // connections reuse the cache. Host B learns A's address from the
+  // request, so it never asks.
+  for (uint16_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(TcpDelivers(world, static_cast<uint16_t>(80 + i), "x"));
   }
   // Exactly one ARP request/reply pair from A's perspective.
   EXPECT_EQ(world.stack_a->stats().arp_rx, 1u);   // one reply
@@ -153,15 +109,38 @@ TEST(StackRobustness, GarbageFramesOnlyBumpCounters) {
     world.Pump(2);
   }
   // The stack is still alive and usable.
-  auto socket_a = world.stack_a->UdpOpen(5000);
-  auto socket_b = world.stack_b->UdpOpen(6000);
-  ASSERT_TRUE(world.stack_a
-                  ->UdpSendTo(*socket_a, world.stack_b->ip(), 6000,
-                              BufferFromString("still alive"))
-                  .ok());
-  ASSERT_TRUE(world.PumpUntil(
-      [&] { return world.stack_b->UdpReceive(*socket_b).ok(); }));
+  ASSERT_TRUE(TcpDelivers(world, 80, "still alive"));
   EXPECT_GT(world.stack_b->stats().parse_errors, 0u);
+}
+
+TEST(StackRobustness, UnspokenProtocolsDroppedBeforeAnyParser) {
+  // The stack speaks only TCP above IPv4. A datagram for protocol 17 (UDP)
+  // whose header claims more bytes than it carries, and one for an
+  // unassigned protocol, both pass the IPv4 header check and then go
+  // nowhere: no transport parser runs (it would count a parse error), no
+  // socket is looked up (no_socket_drops) and nothing is answered.
+  TwoHostWorld world;
+  const uint8_t short_udp[] = {0x13, 0x88, 0x17, 0x70, 0xff, 0xff, 0, 0};
+  for (uint8_t protocol : {uint8_t{17}, uint8_t{200}}) {
+    SCOPED_TRACE(static_cast<int>(protocol));
+    const cionet::NetStack::Stats before = world.stack_b->stats();
+    ASSERT_TRUE(world.fabric
+                    ->Inject(world.port_a->endpoint(),
+                             Ipv4FrameToB(world, protocol, short_udp))
+                    .ok());
+    world.Pump(20);
+    const cionet::NetStack::Stats& after = world.stack_b->stats();
+    EXPECT_EQ(after.frames_rx, before.frames_rx + 1);
+    EXPECT_EQ(after.ipv4_rx, before.ipv4_rx + 1);
+    EXPECT_EQ(after.tcp_rx, before.tcp_rx);
+    EXPECT_EQ(after.arp_rx, before.arp_rx);
+    EXPECT_EQ(after.parse_errors, before.parse_errors);
+    EXPECT_EQ(after.checksum_errors, before.checksum_errors);
+    EXPECT_EQ(after.no_socket_drops, before.no_socket_drops);
+    EXPECT_EQ(after.rst_sent, before.rst_sent);
+    EXPECT_EQ(after.frames_tx, before.frames_tx);
+  }
+  ASSERT_TRUE(TcpDelivers(world, 80, "tcp still works"));
 }
 
 TEST(StackRobustness, CorruptedTcpChecksumDropped) {
@@ -174,19 +153,9 @@ TEST(StackRobustness, CorruptedTcpChecksumDropped) {
   Buffer segment;
   tcp.Serialize(segment);
   ciobase::StoreBe16(segment.data() + 16, 0xdead);  // wrong checksum
-  cionet::Ipv4Header ip;
-  ip.protocol = cionet::kIpProtoTcp;
-  ip.src = world.stack_a->ip();
-  ip.dst = world.stack_b->ip();
-  ip.total_length =
-      static_cast<uint16_t>(cionet::kIpv4HeaderSize + segment.size());
-  Buffer frame;
-  cionet::EthernetHeader eth{world.port_b->mac(), world.port_a->mac(),
-                             cionet::kEtherTypeIpv4};
-  eth.Serialize(frame);
-  ip.Serialize(frame);
-  ciobase::Append(frame, segment);
-  (void)world.fabric->Inject(world.port_a->endpoint(), frame);
+  (void)world.fabric->Inject(
+      world.port_a->endpoint(),
+      Ipv4FrameToB(world, cionet::kIpProtoTcp, segment));
   world.Pump(20);
   EXPECT_GT(world.stack_b->stats().checksum_errors, 0u);
   EXPECT_EQ(world.stack_b->stats().rst_sent, 0u);  // dropped, not answered
@@ -197,13 +166,13 @@ TEST(Fabric, LossAndCaptureAccounting) {
   options.loss_probability = 0.5;
   TwoHostWorld world(options);
   world.fabric->EnableCapture(true);
-  auto socket_a = world.stack_a->UdpOpen(5000);
-  auto socket_b = world.stack_b->UdpOpen(6000);
-  (void)socket_b;
+  // Host A keeps dialing host B's listener over the lossy link; SYNs,
+  // ARP and their answers are all lost at random.
+  auto listener = world.stack_b->TcpListen(80);
+  ASSERT_TRUE(listener.ok());
   for (int i = 0; i < 100; ++i) {
-    (void)world.stack_a->UdpSendTo(*socket_a, world.stack_b->ip(), 6000,
-                                   BufferFromString("lossy"));
-    // Long steps: ARP requests are lossy too and retry on a 100 ms backoff.
+    ASSERT_TRUE(world.stack_a->TcpConnect(world.stack_b->ip(), 80).ok());
+    // Long steps: ARP requests retry on a 100 ms backoff.
     world.Pump(3, 50'000'000);
   }
   const auto& stats = world.fabric->stats();
@@ -459,11 +428,11 @@ void PollAAt(TwoHostWorld& world, uint64_t t) {
 }
 
 bool PortTaken(cionet::NetStack& stack, uint16_t port) {
-  auto probe = stack.UdpOpen(port);
+  auto probe = stack.TcpListen(port);
   if (!probe.ok()) {
     return true;
   }
-  EXPECT_TRUE(stack.UdpClose(*probe).ok());
+  EXPECT_TRUE(stack.TcpClose(*probe).ok());
   return false;
 }
 
